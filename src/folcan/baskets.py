@@ -32,13 +32,14 @@ The four kinds:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .errors import InvalidInput, InvalidOverride
-from .exact_core import vector
+from .exact_core import check_int, vector
 
 
 class SingularityKind(str, enum.Enum):
@@ -85,13 +86,26 @@ class LocalProfile:
             elif idx is not None:
                 raise InvalidInput(f"cusp profiles carry no local index, got {idx!r}")
 
-    @property
+    @functools.cached_property
     def sort_key(self):
         return (
             self.kind.value,
             self.local_index or 0,
             self.override if self.override is not None else (),
         )
+
+    @functools.cached_property
+    def term_numerators(self) -> tuple[int, tuple[int, ...]]:
+        """``(d, t)`` with local_term(self, m) = t[m % len(t)] / d for every m >= 1.
+
+        ``t`` covers one period (the local index; 1 for a cusp) and ``d`` is
+        the least common denominator of the terms. Computed on first use and
+        kept on the profile, so every basket sharing the profile reuses it.
+        """
+        period = self.local_index or 1
+        terms = [local_term(self, r or period) for r in range(period)]
+        den = math.lcm(*(t.denominator for t in terms))
+        return den, tuple(t.numerator * (den // t.denominator) for t in terms)
 
 
 def terminal_cyclic(n: int, override: Optional[Iterable] = None) -> LocalProfile:
@@ -114,15 +128,9 @@ def cusp() -> LocalProfile:
     return LocalProfile(SingularityKind.NON_QGOR_CUSP, None)
 
 
-def _check_multiple(m) -> int:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise InvalidInput(f"multiple must be a nonnegative integer, got {m!r}")
-    return m
-
-
 def local_term(profile: LocalProfile, m: int) -> Fraction:
     """Correction term of one point at the m-th multiple; 0 at m = 0."""
-    m = _check_multiple(m)
+    m = check_int(m, "multiple")
     if m == 0:
         return Fraction(0)
     kind = profile.kind
@@ -150,7 +158,7 @@ def uses_extrapolation(profile: LocalProfile, m: int) -> bool:
     the value there is either the default extrapolation or a caller-supplied
     override, and in both cases downstream reports carry the flag.
     """
-    m = _check_multiple(m)
+    m = check_int(m, "multiple")
     if m == 0 or profile.kind is not SingularityKind.TERMINAL_CYCLIC:
         return False
     r = m % profile.local_index
@@ -179,7 +187,7 @@ class Basket:
 
 
 def basket_term(basket: Basket, m: int) -> Fraction:
-    m = _check_multiple(m)
+    m = check_int(m, "multiple")
     return sum((local_term(p, m) for p in basket), Fraction(0))
 
 

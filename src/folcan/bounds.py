@@ -10,15 +10,19 @@ index s pins the ambient square kx2 into a finite window:
 On top of that window, this module enumerates every basket compatible with
 the index s up to a caller-supplied size cap, filters by exact index match
 and integrality of the Euler characteristic table, and returns the finite
-deduplicated family of Hilbert functions with witnessing baskets. The
-search fans out over worker threads; partitioning never affects the result
-because deduplication keys on the canonical form of the function.
+deduplicated family of Hilbert functions with witnessing baskets. Each
+basket is checked once, at chi = 0: chi is an integer, so it changes neither
+integrality nor the correction table, and the accepted functions are then
+expanded over the requested chi values. The search is serial; the
+``worker_count`` argument (CLI ``--workers``) is validated and otherwise has
+no effect.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -32,7 +36,7 @@ from .baskets import (
     terminal_cyclic,
 )
 from .errors import InvalidInput, NonPositiveVolume
-from .exact_core import as_rational
+from .exact_core import as_rational, check_int
 from .riemann_roch import (
     HilbertFunction,
     ModelNumerics,
@@ -61,15 +65,9 @@ class BoundReport:
     D_dot_KX: Optional[Fraction] = None
 
 
-def _check_positive_int(value, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise InvalidInput(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
 def kx2_bounds(k1, k2, s: int) -> BoundReport:
     k1, k2 = as_rational(k1), as_rational(k2)
-    s = _check_positive_int(s, "s")
+    s = check_int(s, "s", 1)
     if k1 <= 0:
         raise NonPositiveVolume(f"leading self-intersection must be positive, got {k1}")
     upper = k2 * k2 / k1
@@ -86,7 +84,7 @@ def kx2_bounds(k1, k2, s: int) -> BoundReport:
 def ample_divisor_numerics(k1, k2, kx2, s: int) -> tuple[Fraction, Fraction]:
     """Square and ambient product of the combination 4s*K_leading + K_ambient."""
     k1, k2, kx2 = as_rational(k1), as_rational(k2), as_rational(kx2)
-    s = _check_positive_int(s, "s")
+    s = check_int(s, "s", 1)
     d_squared = 16 * s * s * k1 + 8 * s * k2 + kx2
     d_dot_kx = 4 * s * k2 + kx2
     return (d_squared, d_dot_kx)
@@ -94,14 +92,14 @@ def ample_divisor_numerics(k1, k2, kx2, s: int) -> tuple[Fraction, Fraction]:
 
 def km_envelope(d_squared, m: int, q0, q1, h0) -> bool:
     """|h0 - m^2 * D^2 / 2| <= q1*m + q0 for a caller-supplied envelope Q."""
-    m = _check_positive_int(m, "m")
+    m = check_int(m, "m", 1)
     d_squared, q0, q1, h0 = (as_rational(x) for x in (d_squared, q0, q1, h0))
     return abs(h0 - m * m * d_squared / 2) <= q1 * m + q0
 
 
 def basket_alphabet(s: int) -> tuple:
     """Profiles whose local index divides s, in canonical order."""
-    s = _check_positive_int(s, "s")
+    s = check_int(s, "s", 1)
     letters = [dihedral_zero(1)]
     if s % 2 == 0:
         letters.append(dihedral_zero(2))
@@ -116,16 +114,15 @@ def enumerate_baskets(s: int, cap: int, max_cusps: int) -> Iterator[Basket]:
     Deterministic order, no duplicates; cusps appended separately up to
     max_cusps since they do not constrain the index.
     """
-    s = _check_positive_int(s, "s")
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
-        raise InvalidInput(f"cap must be a nonnegative integer, got {cap!r}")
-    if not isinstance(max_cusps, int) or isinstance(max_cusps, bool) or max_cusps < 0:
-        raise InvalidInput(f"max_cusps must be a nonnegative integer, got {max_cusps!r}")
+    s = check_int(s, "s", 1)
+    check_int(cap, "cap")
+    check_int(max_cusps, "max_cusps")
     letters = basket_alphabet(s)
+    shared_cusp = cusp()  # one instance, so its cached term table is built once
     for size in range(cap + 1):
         for combo in itertools.combinations_with_replacement(letters, size):
             for cusps in range(max_cusps + 1):
-                yield Basket(combo + (cusp(),) * cusps)
+                yield Basket(combo + (shared_cusp,) * cusps)
 
 
 @dataclass(frozen=True)
@@ -143,13 +140,14 @@ class EnumerationQuery:
         object.__setattr__(self, "k1", as_rational(self.k1))
         object.__setattr__(self, "k2", as_rational(self.k2))
         object.__setattr__(self, "chi_set", frozenset(self.chi_set))
-        _check_positive_int(self.s, "s")
+        check_int(self.s, "s", 1)
         if any(not isinstance(chi, int) or isinstance(chi, bool) for chi in self.chi_set):
             raise InvalidInput("chi_set must contain integers")
-        if self.basket_cap < 0:
-            raise InvalidInput(f"basket_cap must be nonnegative, got {self.basket_cap!r}")
-        if self.max_cusps < 0:
-            raise InvalidInput(f"max_cusps must be nonnegative, got {self.max_cusps!r}")
+        for name in ("basket_cap", "max_cusps"):
+            value = getattr(self, name)
+            if isinstance(value, numbers.Real) and value < 0:  # a negative size keeps its own message
+                raise InvalidInput(f"{name} must be nonnegative, got {value!r}")
+            check_int(value, name)
 
     @property
     def effective_max_cusps(self) -> int:
@@ -168,58 +166,38 @@ def _basket_sort_key(basket: Basket):
     return tuple(p.sort_key for p in basket)
 
 
-def _scan_chunk(query: EnumerationQuery, chunk: list[Basket]) -> dict:
-    found: dict[tuple, tuple[HilbertFunction, set[Basket]]] = {}
-    for basket in chunk:
-        idx = q_index(basket)
-        if idx != query.s and not (query.q_index_divides and query.s % idx == 0):
-            continue
-        for chi in sorted(query.chi_set):
-            numerics = ModelNumerics(k1=query.k1, k2=query.k2, chi=chi, basket=basket)
-            if not integrality_check(numerics):
-                continue
-            func = to_hilbert_function(numerics).canonicalized()
-            key = func.sort_key()
-            if key in found:
-                old, witnesses = found[key]
-                merged = old if old.extrapolated or not func.extrapolated else func
-                witnesses.add(basket)
-                found[key] = (merged, witnesses)
-            else:
-                found[key] = (func, {basket})
-    return found
-
-
 def enumerate_hilbert(query: EnumerationQuery, worker_count: int = 1) -> tuple[EnumeratedFunction, ...]:
     """Deduplicated Hilbert functions for the query, canonical order.
 
-    Baskets are scanned by ``worker_count`` threads over round-robin
-    chunks; the merge is keyed on canonical forms and witness sets are
-    unioned, so the output is identical for every worker count.
+    Each basket of matching index gets one integrality check and, if
+    accepted, one compression, both at chi = 0. Functions merge on their
+    canonical form; a merged function is extrapolated if any witness is.
+    The result is the chi = 0 family shifted to each chi in ``chi_set``.
+    ``worker_count`` must be a positive integer and does not change the
+    work or the result.
     """
-    _check_positive_int(worker_count, "worker_count")
+    check_int(worker_count, "worker_count", 1)
     if query.k1 <= 0:
         raise NonPositiveVolume(f"leading self-intersection must be positive, got {query.k1}")
-    baskets = list(enumerate_baskets(query.s, query.basket_cap, query.effective_max_cusps))
-    chunks = [baskets[i::worker_count] for i in range(worker_count)]
-    if worker_count == 1:
-        partials = [_scan_chunk(query, chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            partials = list(pool.map(lambda chunk: _scan_chunk(query, chunk), chunks))
-    merged: dict[tuple, tuple[HilbertFunction, set[Basket]]] = {}
-    for partial in partials:
-        for key, (func, witnesses) in partial.items():
-            if key in merged:
-                old, seen = merged[key]
-                keep = old if old.extrapolated or not func.extrapolated else func
-                merged[key] = (keep, seen | witnesses)
-            else:
-                merged[key] = (func, set(witnesses))
+    found: dict[tuple, list] = {}
+    for basket in enumerate_baskets(query.s, query.basket_cap, query.effective_max_cusps):
+        idx = q_index(basket)
+        if idx != query.s and not (query.q_index_divides and query.s % idx == 0):
+            continue
+        numerics = ModelNumerics(k1=query.k1, k2=query.k2, chi=0, basket=basket)
+        if not integrality_check(numerics):
+            continue
+        func = to_hilbert_function(numerics).canonicalized()
+        entry = found.setdefault(func.canonical_form(), [func, []])
+        entry[1].append(basket)
+        if func.extrapolated:
+            entry[0] = func
+    merged = [
+        (func, tuple(sorted(witnesses, key=_basket_sort_key)))
+        for _, (func, witnesses) in sorted(found.items(), key=lambda item: item[0])
+    ]
     return tuple(
-        EnumeratedFunction(
-            function=func,
-            witnesses=tuple(sorted(witnesses, key=_basket_sort_key)),
-        )
-        for _, (func, witnesses) in sorted(merged.items(), key=lambda item: item[0])
+        EnumeratedFunction(function=dataclasses.replace(func, chi=chi), witnesses=witnesses)
+        for chi in sorted(query.chi_set)
+        for func, witnesses in merged
     )

@@ -11,7 +11,9 @@ Five subcommands:
 Exit status 0 on success; 1 for I/O and document-shape problems; 2 for
 mathematically invalid input. Errors go to stderr as a JSON object
 ``{"error": {"code", "message", "context"}}``. Output is byte-identical
-across repeated runs with the same inputs regardless of worker count.
+across repeated runs with the same inputs. ``enumerate --workers N`` is
+accepted (N must be a positive integer) but has no effect; the search is
+serial.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--max-cusps", type=int, default=0)
     enum.add_argument("--no-cusps", action="store_true")
     enum.add_argument("--q-index-divides", action="store_true")
-    enum.add_argument("--workers", type=int, default=1)
+    enum.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
 
     bounds = add_command("bounds", help="window for the ambient canonical square")
     bounds.add_argument("--k1", type=_rational_flag, required=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, InvalidInput, SingularMatrix
 
@@ -70,6 +70,21 @@ def as_rational(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+_INT_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def check_int(value, name: str, minimum: Optional[int] = 0) -> int:
+    """Return ``value`` unchanged if it is an int (bools excluded) >= ``minimum``.
+
+    ``minimum`` is 0, 1 or None (no lower bound). Anything else, floats and
+    integral-looking strings included, raises :class:`InvalidInput`; nothing
+    is truncated or coerced.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
+        raise InvalidInput(f"{name} must be {_INT_KINDS[minimum]}, got {value!r}")
+    return value
 
 
 def vector(entries: Iterable) -> Vector:

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .baskets import Basket, basket_term, basket_uses_extrapolation, q_index
 from .errors import InvalidInput, NotIntegral
-from .exact_core import as_rational
+from .exact_core import as_rational, check_int
 
 _WARN_GENERAL_TYPE = "general_type flag set but k1 <= 0"
 
@@ -49,8 +49,7 @@ class ModelNumerics:
         object.__setattr__(self, "k2", as_rational(self.k2))
         if self.kx2 is not None:
             object.__setattr__(self, "kx2", as_rational(self.kx2))
-        if not isinstance(self.chi, int) or isinstance(self.chi, bool):
-            raise InvalidInput(f"chi must be an integer, got {self.chi!r}")
+        check_int(self.chi, "chi", None)
         if not isinstance(self.basket, Basket):
             raise InvalidInput("basket must be a Basket instance")
         if self.general_type and self.k1 <= 0:
@@ -68,8 +67,7 @@ class ModelNumerics:
 
 
 def hilbert_value(num: ModelNumerics, m: int) -> Fraction:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise InvalidInput(f"multiple must be a nonnegative integer, got {m!r}")
+    check_int(m, "multiple")
     quadratic = (num.k1 * m * m - num.k2 * m) / 2
     return quadratic + num.chi + basket_term(num.basket, m)
 
@@ -88,7 +86,28 @@ def integrality_window(num: ModelNumerics) -> int:
 
 
 def integrality_check(num: ModelNumerics) -> bool:
-    return all(hilbert_value(num, m).denominator == 1 for m in range(integrality_window(num)))
+    """Whether every value P(m), m >= 0, is an integer; decided in integers.
+
+    The verdict is that of ``hilbert_value(num, m).denominator == 1`` over
+    the window of :func:`integrality_window`. P(0) = chi is an integer. For
+    m >= 1, D * P(m) is the integer N(m) = (a m - b) m + D chi + sum of the
+    profiles' scaled term numerators, where D = lcm(2 den k1, 2 den k2, the
+    profile denominators), a = D k1 / 2 and b = D k2 / 2; P(m) is an integer
+    exactly when D divides N(m), and D chi drops out of that test.
+    """
+    tables = [p.term_numerators for p in num.basket]
+    k1, k2 = num.k1, num.k2
+    den = math.lcm(2 * k1.denominator, 2 * k2.denominator, *(d for d, _ in tables))
+    a = k1.numerator * (den // (2 * k1.denominator))
+    b = k2.numerator * (den // (2 * k2.denominator))
+    terms = [(den // d, t, len(t)) for d, t in tables]
+    for m in range(1, integrality_window(num)):
+        total = (a * m - b) * m
+        for scale, t, period in terms:
+            total += scale * t[m % period]
+        if total % den:
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,16 +131,14 @@ class HilbertFunction:
         object.__setattr__(self, "k1", as_rational(self.k1))
         object.__setattr__(self, "k2", as_rational(self.k2))
         object.__setattr__(self, "correction", tuple(as_rational(c) for c in self.correction))
-        if not isinstance(self.period, int) or self.period < 1:
-            raise InvalidInput(f"period must be a positive integer, got {self.period!r}")
+        check_int(self.period, "period", 1)
         if len(self.correction) != self.period:
             raise InvalidInput(
                 f"correction table has length {len(self.correction)}, period is {self.period}"
             )
 
     def value(self, m: int) -> Fraction:
-        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-            raise InvalidInput(f"multiple must be a nonnegative integer, got {m!r}")
+        check_int(m, "multiple")
         quadratic = (self.k1 * m * m - self.k2 * m) / 2
         correction = self.correction[m % self.period] if m >= 1 else Fraction(0)
         return quadratic + self.chi + correction
@@ -147,10 +164,6 @@ class HilbertFunction:
     def canonicalized(self) -> "HilbertFunction":
         k1, k2, chi, period, correction = self.canonical_form()
         return HilbertFunction(k1, k2, chi, period, correction, extrapolated=self.extrapolated)
-
-    def sort_key(self) -> tuple:
-        k1, k2, chi, period, correction = self.canonical_form()
-        return (k1, k2, chi, period, correction)
 
 
 def to_hilbert_function(num: ModelNumerics) -> HilbertFunction:

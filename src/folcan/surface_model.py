@@ -27,6 +27,7 @@ from .errors import DimensionMismatch, InvalidInput, NotNegativeDefinite
 from .exact_core import (
     SymmetricPairing,
     Vector,
+    check_int,
     signature,
     solve_linear,
     vec_scale,
@@ -105,7 +106,7 @@ class ResolutionData:
     strict_transforms: Mapping[str, Vector] = field(default_factory=dict)
 
     def __post_init__(self):
-        indices = tuple(int(i) for i in self.exceptional_indices)
+        indices = tuple(check_int(i, "exceptional position", None) for i in self.exceptional_indices)
         if len(set(indices)) != len(indices):
             raise InvalidInput("exceptional positions must be distinct", indices=indices)
         for i in indices:

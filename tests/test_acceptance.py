@@ -185,47 +185,96 @@ def test_acceptance_5_table_engine():
         assert emitted > 0
 
 
-def _oracle_enumeration():
-    # independent brute force for k1=1, k2=0, chi=1, s=2, cap 2, max one cusp:
-    # inline letter tables, value-table dedup, no package calls
-    letters = {
-        "T2": (2, lambda m: F(-1, 4) if m % 2 else F(0)),
-        "DZ1": (1, lambda m: F(0)),
-        "DZ2": (2, lambda m: F(0)),
-        "DH": (2, lambda m: F(-1, 2) if m % 2 else F(0)),
-    }
-    tables = set()
-    for size in range(3):
+def _oracle_letters(s):
+    # inline local-term tables, no package calls: name -> (index, term at m >= 1)
+    letters = {"DZ1": (1, lambda m: F(0))}
+    if s % 2 == 0:
+        letters["DZ2"] = (2, lambda m: F(0))
+        letters["DH"] = (2, lambda m: F(-1, 2) if m % 2 else F(0))
+    for n in range(2, s + 1):
+        if s % n == 0:
+            letters[f"T{n}"] = (n, lambda m, n=n: F(-(m % n) * (n - m % n), 2 * n))
+    return letters
+
+
+def _oracle_span(k1, k2, s):
+    # two periods of the integrality window, plus m = 0
+    return 2 * math.lcm(s, 2 * k1.denominator, 2 * k2.denominator) + 1
+
+
+def _oracle_enumeration(k1, k2, s, chis, cap, max_cusps, divides):
+    """Brute force: value table on [0, span) -> set of (letter names, cusp count) witnesses."""
+    letters = _oracle_letters(s)
+    span = _oracle_span(k1, k2, s)
+    found = {}
+    for size in range(cap + 1):
         for combo in itertools.combinations_with_replacement(sorted(letters), size):
-            for cusps in range(2):
-                indices = [letters[name][0] for name in combo]
-                q = math.lcm(*indices) if indices else 1
-                if q != 2:
-                    continue
-                values = []
-                for m in range(9):
-                    total = F(m * m, 2) + 1
-                    if m >= 1:
-                        total += sum(letters[name][1](m) for name in combo) - cusps
-                    values.append(total)
-                if all(v.denominator == 1 for v in values):
-                    tables.add(tuple(values))
-    return tables
+            q = math.lcm(*(letters[name][0] for name in combo))
+            if q != s and not (divides and s % q == 0):
+                continue
+            for cusps in range(max_cusps + 1):
+                for chi in chis:
+                    values = []
+                    for m in range(span):
+                        total = (k1 * m * m - k2 * m) / 2 + chi
+                        if m >= 1:
+                            total += sum(letters[name][1](m) for name in combo) - cusps
+                        values.append(total)
+                    if all(v.denominator == 1 for v in values):
+                        found.setdefault(tuple(values), set()).add((combo, cusps))
+    return found
+
+
+_LETTER_NAMES = {"DihedralZero": "DZ", "DihedralHalf": "DH", "TerminalCyclic": "T"}
+
+
+def _produced(result, span):
+    produced = {}
+    for entry in result:
+        witnesses = set()
+        for basket in entry.witnesses:
+            names = []
+            for p in basket:
+                if p.kind.value in _LETTER_NAMES:
+                    suffix = "" if p.kind.value == "DihedralHalf" else str(p.local_index)
+                    names.append(_LETTER_NAMES[p.kind.value] + suffix)
+            witnesses.add((tuple(sorted(names)), len(basket) - len(names)))
+        # extrapolated exactly when some witness has a terminal point of index >= 4
+        assert entry.function.extrapolated == any(
+            name.startswith("T") and int(name[1:]) >= 4 for combo, _ in witnesses for name in combo
+        )
+        table = tuple(entry.function.value(m) for m in range(span))
+        assert table not in produced
+        produced[table] = witnesses
+    return produced
 
 
 def test_acceptance_6_enumerator_oracle():
     with criterion(6, "enumeration against brute force", 10.0):
-        oracle = _oracle_enumeration()
+        oracle = _oracle_enumeration(F(1), F(0), 2, {1}, 2, 1, False)
         assert len(oracle) == 2
         query = EnumerationQuery(
             k1=F(1), k2=F(0), s=2, chi_set=frozenset({1}), basket_cap=2, max_cusps=1
         )
         result = enumerate_hilbert(query)
         assert len(result) == 2
-        produced = {tuple(e.function.value(m) for m in range(9)) for e in result}
-        assert produced == oracle
+        assert _produced(result, _oracle_span(F(1), F(0), 2)) == oracle
         for workers in (2, 4):
             assert enumerate_hilbert(query, worker_count=workers) == result
+        # several chi values at once, two cusps, both index filters
+        functions = 0
+        for s in (2, 3, 4, 6):
+            for k1, k2 in ((F(1), F(1)), (F(1, 2), F(0))):
+                for divides in (False, True):
+                    chis = {-1, 0, 2}
+                    query = EnumerationQuery(
+                        k1=k1, k2=k2, s=s, chi_set=frozenset(chis), basket_cap=3, max_cusps=2,
+                        q_index_divides=divides,
+                    )
+                    oracle = _oracle_enumeration(k1, k2, s, chis, 3, 2, divides)
+                    assert _produced(enumerate_hilbert(query), _oracle_span(k1, k2, s)) == oracle
+                    functions += len(oracle)
+        assert functions > 100
 
 
 def test_acceptance_7_bound_chain():

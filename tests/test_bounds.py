@@ -143,6 +143,29 @@ def test_query_validation():
     assert q.effective_max_cusps == 0
 
 
+def test_query_rejects_non_integer_sizes():
+    base = dict(k1=F(1), k2=F(0), s=2, chi_set=frozenset({1}), basket_cap=1)
+    for field, bad in (("basket_cap", 2.5), ("basket_cap", True), ("basket_cap", "2"), ("max_cusps", 1.5),
+                       ("max_cusps", True), ("s", 2.0)):
+        with pytest.raises(InvalidInput, match=f"{field} must be a (nonnegative|positive) integer"):
+            EnumerationQuery(**{**base, field: bad})
+    # inputs rejected before the shared check keep their messages
+    for field, bad in (("basket_cap", -1), ("max_cusps", -2), ("max_cusps", -0.5)):
+        with pytest.raises(InvalidInput) as info:
+            EnumerationQuery(**{**base, field: bad})
+        assert str(info.value) == f"{field} must be nonnegative, got {bad!r}"
+    with pytest.raises(InvalidInput) as info:
+        list(enumerate_baskets(2, 2.5, 0))
+    assert str(info.value) == "cap must be a nonnegative integer, got 2.5"
+    with pytest.raises(InvalidInput) as info:
+        kx2_bounds(1, 0, 0)
+    assert str(info.value) == "s must be a positive integer, got 0"
+    query = EnumerationQuery(**base)
+    for bad in (0, True, 1.0):
+        with pytest.raises(InvalidInput, match="worker_count must be a positive integer"):
+            enumerate_hilbert(query, worker_count=bad)
+
+
 def test_enumerate_hilbert_reference_query():
     query = EnumerationQuery(
         k1=F(1), k2=F(0), s=2, chi_set=frozenset({1}), basket_cap=2, max_cusps=1

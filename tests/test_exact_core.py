@@ -7,6 +7,7 @@ from folcan.errors import DimensionMismatch, InvalidInput, SingularMatrix
 from folcan.exact_core import (
     HodgeVerdict,
     SymmetricPairing,
+    check_int,
     format_rational,
     hodge_check,
     is_negative_definite,
@@ -61,6 +62,24 @@ def test_rational_round_trip_random():
     for _ in range(1000):
         q = F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
         assert parse_rational(format_rational(q)) == q
+
+
+def test_check_int():
+    assert check_int(0, "n") == 0
+    assert check_int(3, "n", 1) == 3
+    assert check_int(-4, "n", None) == -4
+    for value, minimum, message in (
+        (-1, 0, "n must be a nonnegative integer, got -1"),
+        (0, 1, "n must be a positive integer, got 0"),
+        (2.5, 0, "n must be a nonnegative integer, got 2.5"),
+        (2.0, 1, "n must be a positive integer, got 2.0"),
+        (True, 0, "n must be a nonnegative integer, got True"),
+        ("3", None, "n must be an integer, got '3'"),
+        (F(2), None, "n must be an integer, got Fraction(2, 1)"),
+    ):
+        with pytest.raises(InvalidInput) as info:
+            check_int(value, "n", minimum)
+        assert str(info.value) == message
 
 
 def test_vector_refuses_floats():

@@ -234,3 +234,38 @@ def test_second_difference_random():
             correction=correction,
         )
         assert second_difference_check(h)
+
+
+def _random_profile(rng):
+    roll = rng.randrange(6)
+    if roll == 0:
+        return dihedral_zero(rng.choice((1, 2)))
+    if roll == 1:
+        return dihedral_half()
+    if roll == 2:
+        return cusp()
+    n = rng.randint(2, 6)
+    if roll == 3:
+        # override entries with arbitrary denominators
+        return terminal_cyclic(n, [F(0)] + [F(-rng.randint(0, 6), rng.randint(1, 7)) for _ in range(n - 1)])
+    return terminal_cyclic(n)
+
+
+def _random_numerics(rng):
+    profiles = [_random_profile(rng) for _ in range(rng.randint(0, 3))]  # 0: the empty basket
+    profiles *= rng.choice((1, 1, 2, 3, 4))  # repeated points make integral tables common
+    k1 = F(rng.randint(-6, 6), rng.choice((1, 1, 1, 2, 3, 4)))
+    k2 = F(rng.randint(-6, 6), rng.choice((1, 1, 1, 2, 3, 4)))
+    return ModelNumerics(k1=k1, k2=k2, chi=rng.randint(-3, 3), basket=Basket(tuple(profiles)))
+
+
+def test_integrality_check_matches_fraction_definition():
+    # the integer congruence test against its definition in Fraction arithmetic
+    rng = random.Random(2412)
+    verdicts = {True: 0, False: 0}
+    for _ in range(10**4):
+        num = _random_numerics(rng)
+        expected = all(hilbert_value(num, m).denominator == 1 for m in range(integrality_window(num)))
+        assert integrality_check(num) == expected, num
+        verdicts[expected] += 1
+    assert min(verdicts.values()) > 1000

@@ -65,6 +65,15 @@ def test_resolution_validation():
         ResolutionData(good, (2,))
 
 
+def test_resolution_rejects_non_integer_positions():
+    good = model([[0, 1], [1, -2]])
+    for bad in (1.7, True, "1", 1.0):
+        with pytest.raises(InvalidInput, match="exceptional position must be an integer"):
+            ResolutionData(good, (bad,))
+    with pytest.raises(InvalidInput, match="exceptional position -1 outside lattice of rank 2"):
+        ResolutionData(good, (-1,))
+
+
 def test_pullback_single_curve():
     # one exceptional curve with square -2 met once by the strict transform
     res = ResolutionData(model([[0, 1], [1, -2]]), (1,))
