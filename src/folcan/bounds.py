@@ -61,8 +61,6 @@ class BoundReport:
     kx2_lower_exclusive: Fraction
     kx2_lower_exclusive_variant: Optional[Fraction] = None
     interval_empty: bool = False
-    D_squared: Optional[Fraction] = None
-    D_dot_KX: Optional[Fraction] = None
 
 
 def kx2_bounds(k1, k2, s: int) -> BoundReport:

@@ -23,9 +23,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import serialization as ser
 from .bounds import (
@@ -45,15 +44,6 @@ from .errors import DocumentError, FolcanError, InvalidInput
 from .exact_core import format_rational, parse_rational
 from .riemann_roch import hilbert_value, integrality_check, to_hilbert_function
 from .surface_model import ResolutionData, mumford_pullback, weil_intersect
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: Optional[str] = None
-    output_format: str = "json"
-    worker_count: int = 1
-    seed: Optional[int] = None
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -367,15 +357,8 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    config = RunConfig(
-        command=args.command,
-        input_path=getattr(args, "model", None) or getattr(args, "numerics", None),
-        output_format=args.output_format,
-        worker_count=getattr(args, "workers", 1),
-        seed=args.seed,
-    )
     try:
-        text = _HANDLERS[config.command](args)
+        text = _HANDLERS[args.command](args)
     except DocumentError as exc:
         stderr.write(_error_payload(exc.code, str(exc), exc.context))
         return 1

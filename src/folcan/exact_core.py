@@ -12,6 +12,11 @@ index-theorem inequality check
 
 valid whenever some combination a1*D1 + a2*D2 has positive square.
 
+A pairing is factored at most once: its first :func:`signature` or
+:func:`solve_linear` call computes the congruence P^T A P = D
+(:attr:`SymmetricPairing.congruence`) and keeps it on the instance, so the
+inertia and every later solve read the same factor.
+
 Rationals cross every file boundary as the canonical string ``p/q`` (bare
 ``p`` when the denominator is 1); :func:`parse_rational` is strict about the
 canonical form so that serialization round-trips bit-exactly.
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -150,10 +156,11 @@ class SymmetricPairing:
             )
 
     def apply(self, v: Sequence) -> Vector:
-        """Matrix-vector product A v."""
+        """Matrix-vector product A v, skipping zero products."""
         v = vector(v)
         self._check_length(v)
-        return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in self.entries)
+        support = [(j, x) for j, x in enumerate(v) if x]
+        return tuple(sum((row[j] * x for j, x in support if row[j]), Fraction(0)) for row in self.entries)
 
     def pair(self, u: Sequence, v: Sequence) -> Fraction:
         """Bilinear value u^T A v."""
@@ -171,87 +178,98 @@ class SymmetricPairing:
             tuple(tuple(self.entries[i][j] for j in indices) for i in indices)
         )
 
+    @cached_property
+    def congruence(self) -> tuple[tuple[tuple[int, int, Fraction], ...], Vector]:
+        """Symmetric congruence P^T A P = D, computed once and kept on the instance.
+
+        Returns ``(steps, diagonal)``. P is the product, in order, of the
+        column operations ``(target, source, c)``: column ``target`` += c *
+        column ``source``; ``diagonal[k]`` is D's entry at position k.
+        Elimination works on each row's nonzeros only, so a tridiagonal form
+        such as a (-2)-chain costs O(n), and only nonzero multipliers are
+        recorded. Pivots are taken in position order; a zero diagonal forces
+        either a symmetric swap to a later nonzero diagonal or, when every
+        remaining diagonal is zero, the hyperbolic step e_i -> e_i + e_j for
+        a nonzero a_ij, which makes the new diagonal 2 a_ij. A remaining
+        block that is identically zero contributes zeros to D.
+        """
+        n = self.dimension
+        rows = [{j: a for j, a in enumerate(row) if a} for row in self.entries]
+        diagonal = [Fraction(0)] * n
+        steps = []
+
+        def add(target: int, source: int, c: Fraction) -> None:
+            # e_target -> e_target + c e_source on both sides of the form
+            steps.append((target, source, c))
+            into, outof = rows[target], rows[source]
+            cross = outof.get(target, 0)
+            for l, a in list(outof.items()):
+                if l != target:
+                    value = into.get(l, 0) + c * a
+                    if value:
+                        into[l] = rows[l][target] = value
+                    else:
+                        into.pop(l, None)
+                        rows[l].pop(target, None)
+            # the row step added c * a_st, the column step adds c * (new a_ts)
+            square = into.get(target, 0) + c * (cross + into.get(source, 0))
+            if square:
+                into[target] = square
+            else:
+                into.pop(target, None)
+
+        pending = list(range(n))
+        while pending:
+            k = next((i for i in pending if i in rows[i]), None)
+            if k is None:
+                k = next((i for i in pending if rows[i]), None)
+                if k is None:
+                    break
+                add(k, min(rows[k]), Fraction(1))
+            pending.remove(k)
+            head = diagonal[k] = rows[k][k]
+            for l, a in sorted(rows[k].items()):
+                if l != k:
+                    add(l, k, -a / head)
+        return tuple(steps), tuple(diagonal)
+
 
 def solve_linear(pairing: SymmetricPairing, rhs: Sequence) -> Vector:
-    """Solve A x = b exactly by Gaussian elimination with row exchange.
+    """Solve A x = b exactly through the pairing's cached congruence.
 
-    Raises :class:`SingularMatrix` when a pivot column has no nonzero entry
-    to exchange in, i.e. exactly when A is singular.
+    With P^T A P = D, x = P D^-1 P^T b: a forward pass over the recorded
+    column operations, a diagonal scaling and a backward pass, each over
+    nonzeros only. Raises :class:`SingularMatrix` when D has a zero entry,
+    i.e. exactly when A is singular.
     """
-    n = pairing.dimension
     b = vector(rhs)
     pairing._check_length(b)
-    rows = [list(pairing.entries[i]) + [b[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("no pivot available during elimination", column=col)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-        head = rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] / head
-            if factor:
-                for c in range(col, n + 1):
-                    rows[r][c] -= factor * rows[col][c]
-    solution = [Fraction(0)] * n
-    for col in range(n - 1, -1, -1):
-        acc = rows[col][n]
-        for c in range(col + 1, n):
-            acc -= rows[col][c] * solution[c]
-        solution[col] = acc / rows[col][col]
-    return tuple(solution)
+    steps, diagonal = pairing.congruence
+    if 0 in diagonal:
+        raise SingularMatrix("pairing matrix is singular", column=diagonal.index(0))
+    x = list(b)
+    for target, source, coeff in steps:
+        if x[source]:
+            x[target] += coeff * x[source]
+    for k, d in enumerate(diagonal):
+        if x[k]:
+            x[k] /= d
+    for target, source, coeff in reversed(steps):
+        if x[target]:
+            x[source] += coeff * x[target]
+    return tuple(x)
 
 
 def signature(pairing: SymmetricPairing) -> tuple[int, int, int]:
-    """Inertia (positives, negatives, zeros) by symmetric congruence reduction.
+    """Inertia (positives, negatives, zeros): the signs of the cached D.
 
-    The reduction applies simultaneous row and column operations, so it is a
-    congruence A -> P^T A P and the counts are invariants of the form. When
-    the untouched block has a zero diagonal but a nonzero off-diagonal entry,
-    a basis vector is added to its partner to manufacture a diagonal pivot.
+    P^T A P = D is a congruence, so by Sylvester's law of inertia the sign
+    counts of D are invariants of the form.
     """
-    n = pairing.dimension
-    m = [list(row) for row in pairing.entries]
-    positives = negatives = 0
-    k = 0
-    while k < n:
-        pivot = next((i for i in range(k, n) if m[i][i] != 0), None)
-        if pivot is None:
-            hyperbolic = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if m[i][j] != 0:
-                        hyperbolic = (i, j)
-                        break
-                if hyperbolic:
-                    break
-            if hyperbolic is None:
-                break  # remaining block identically zero
-            i, j = hyperbolic
-            for l in range(n):
-                m[i][l] += m[j][l]
-            for l in range(n):
-                m[l][i] += m[l][j]
-            pivot = i  # now m[i][i] = 2 * old m[i][j] != 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            for row in m:
-                row[k], row[pivot] = row[pivot], row[k]
-        head = m[k][k]
-        if head > 0:
-            positives += 1
-        else:
-            negatives += 1
-        for j in range(k + 1, n):
-            factor = m[j][k] / head
-            if factor:
-                for l in range(n):
-                    m[j][l] -= factor * m[k][l]
-                for l in range(n):
-                    m[l][j] -= factor * m[l][k]
-        k += 1
-    return (positives, negatives, n - positives - negatives)
+    diagonal = pairing.congruence[1]
+    positives = sum(d > 0 for d in diagonal)
+    negatives = sum(d < 0 for d in diagonal)
+    return (positives, negatives, len(diagonal) - positives - negatives)
 
 
 def is_negative_definite(pairing: SymmetricPairing) -> bool:

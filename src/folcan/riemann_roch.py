@@ -72,17 +72,23 @@ def hilbert_value(num: ModelNumerics, m: int) -> Fraction:
     return quadratic + num.chi + basket_term(num.basket, m)
 
 
+def window_length(period: int, k1: Fraction, k2: Fraction) -> int:
+    """L = lcm(T, 2*den(k1), 2*den(k2)) for a correction of period T.
+
+    L makes P(m+L) - P(m) = ((2mL + L^2)k1 - L*k2)/2 an integer for every
+    m: L*k1 and L*k2 are integers and L is even, so each summand is.
+    Corrections cancel because T | L. Integrality on one window therefore
+    telescopes to all of them.
+    """
+    return math.lcm(period, 2 * k1.denominator, 2 * k2.denominator)
+
+
 def integrality_window(num: ModelNumerics) -> int:
     """Length L of the window [0, L) whose integrality decides all of it.
 
-    With T the basket period, L = lcm(T, 2*den(k1), 2*den(k2)) makes
-    P(m+L) - P(m) = ((2mL + L^2)k1 - L*k2)/2 an integer for every m: L*k1
-    and L*k2 are integers and L is even, so each summand is. Corrections
-    cancel because T | L. Integrality on one window therefore telescopes to
-    all of them.
+    This is :func:`window_length` with T the basket period.
     """
-    period = q_index(num.basket)
-    return math.lcm(period, 2 * num.k1.denominator, 2 * num.k2.denominator)
+    return window_length(q_index(num.basket), num.k1, num.k2)
 
 
 def integrality_check(num: ModelNumerics) -> bool:

@@ -17,7 +17,6 @@ trailing newline, so byte-identical output for equal payloads.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -33,7 +32,7 @@ from .baskets import (
 from .bounds import EnumeratedFunction
 from .errors import DocumentError
 from .exact_core import SymmetricPairing, Vector, format_rational, parse_rational
-from .riemann_roch import HilbertFunction, ModelNumerics
+from .riemann_roch import HilbertFunction, ModelNumerics, window_length
 from .surface_model import ResolutionData, SurfaceModel
 
 
@@ -220,7 +219,7 @@ def model_from_json(data) -> tuple[SurfaceModel, Optional[ResolutionData]]:
 
 def value_window(h: HilbertFunction) -> int:
     """Window length controlling integrality, recomputed from the function."""
-    return math.lcm(h.period, 2 * h.k1.denominator, 2 * h.k2.denominator)
+    return window_length(h.period, h.k1, h.k2)
 
 
 def hilbert_function_to_json(h: HilbertFunction) -> dict:

@@ -9,7 +9,10 @@ divisors enter as their strict transforms upstairs. The pullback of a Weil
 divisor is then the unique correction of the strict transform by
 exceptional classes that pairs to zero with every exceptional curve; this
 is well posed exactly because the exceptional Gram matrix is negative
-definite, which is validated when the resolution is constructed.
+definite, which is validated when the resolution is constructed. The Gram
+is built once per resolution and factored once (its cached
+:attr:`~folcan.exact_core.SymmetricPairing.congruence`); the validation and
+every pullback share that factor.
 
 Intersection numbers of downstairs divisors are the ambient pairings of
 their pullbacks. Positivity checks (big, nef, positive on curves) are
@@ -20,6 +23,7 @@ classes not in the list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -98,7 +102,8 @@ class ResolutionData:
     ``strict_transforms`` optionally names downstairs divisors by their
     strict transforms upstairs, for file-driven workflows. The exceptional
     Gram matrix is checked negative definite here, at construction; every
-    later solve relies on it.
+    later solve relies on it. The Gram is cached on the instance, so the
+    factorization that decided the signature serves every pullback.
     """
 
     ambient: SurfaceModel
@@ -122,7 +127,7 @@ class ResolutionData:
         )
         validate_resolution(self)
 
-    @property
+    @cached_property
     def exceptional_gram(self) -> SymmetricPairing:
         return self.ambient.pairing.restrict(self.exceptional_indices)
 
@@ -142,7 +147,8 @@ def validate_resolution(res: ResolutionData) -> None:
 def mumford_pullback(res: ResolutionData, strict: Sequence) -> Vector:
     """Correct a strict transform to pair to zero with every exceptional curve.
 
-    Solves the square system on the exceptional Gram matrix and returns
+    Solves the square system on the exceptional Gram matrix, reusing the
+    factor computed when the resolution was validated, and returns
     strict + sum of x_i * E_i. When the strict transform is already
     orthogonal to the exceptional locus the correction is zero and the
     input comes back unchanged.
