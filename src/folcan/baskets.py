@@ -60,8 +60,7 @@ class LocalProfile:
         object.__setattr__(self, "kind", kind)
         idx = self.local_index
         if kind is SingularityKind.TERMINAL_CYCLIC:
-            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 2:
-                raise InvalidInput(f"terminal cyclic profile needs index >= 2, got {idx!r}")
+            check_int(idx, "terminal cyclic index", 2)
             if self.override is not None:
                 table = vector(self.override)
                 if len(table) != idx:

@@ -139,8 +139,8 @@ class EnumerationQuery:
         object.__setattr__(self, "k2", as_rational(self.k2))
         object.__setattr__(self, "chi_set", frozenset(self.chi_set))
         check_int(self.s, "s", 1)
-        if any(not isinstance(chi, int) or isinstance(chi, bool) for chi in self.chi_set):
-            raise InvalidInput("chi_set must contain integers")
+        for chi in self.chi_set:
+            check_int(chi, "chi_set entry", None)
         for name in ("basket_cap", "max_cusps"):
             value = getattr(self, name)
             if isinstance(value, numbers.Real) and value < 0:  # a negative size keeps its own message

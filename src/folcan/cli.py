@@ -13,7 +13,13 @@ mathematically invalid input. Errors go to stderr as a JSON object
 ``{"error": {"code", "message", "context"}}``. Output is byte-identical
 across repeated runs with the same inputs. ``enumerate --workers N`` is
 accepted (N must be a positive integer) but has no effect; the search is
-serial.
+serial. There is no ``--seed``: nothing here is random.
+
+The flat reports (``intersect``, ``bounds`` and a single ``example``) share
+one renderer: a JSON object with sorted keys, or ``quantity,value`` CSV rows
+(vectors as space-separated rationals, booleans as ``true``/``false``).
+``hilbert``, ``enumerate`` and example sweeps are tables with their own
+columns.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .constructions import (
 from .errors import DocumentError, FolcanError, InvalidInput
 from .exact_core import format_rational, parse_rational
 from .riemann_roch import hilbert_value, integrality_check, to_hilbert_function
-from .surface_model import ResolutionData, mumford_pullback, weil_intersect
+from .surface_model import ResolutionData, mumford_pullback
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -81,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
     parser.add_argument("--out", metavar="PATH", default=None)
-    parser.add_argument("--seed", type=int, default=None, help="reserved for scripted harnesses")
     # the output flags are accepted both before and after the subcommand;
     # SUPPRESS keeps the subcommand copy from clobbering a global value
     common = argparse.ArgumentParser(add_help=False)
@@ -150,6 +155,20 @@ def _vector_cell(v) -> str:
     return " ".join(format_rational(x) for x in v)
 
 
+def _render_flat(payload: dict, output_format: str) -> str:
+    """A flat report as its JSON object, or as ``quantity,value`` rows in payload order."""
+    if output_format == "json":
+        return ser.dumps(payload)
+    rows = [["quantity", "value"]]
+    for key, value in payload.items():
+        if isinstance(value, bool):
+            value = str(value).lower()
+        elif isinstance(value, list):
+            value = " ".join(value)
+        rows.append([key, value])
+    return _csv_text(rows)
+
+
 # ---------------------------------------------------------------- commands
 
 def _parse_class(model, resolution, text: str):
@@ -176,27 +195,16 @@ def _cmd_intersect(args) -> str:
         resolution = ResolutionData(ambient=model, exceptional_indices=())
     left = _parse_class(model, resolution, args.left)
     right = _parse_class(model, resolution, args.right)
-    value = weil_intersect(resolution, left, right)
+    pullback_left = mumford_pullback(resolution, left)  # validates the length of left
+    pullback_right = mumford_pullback(resolution, right)
     payload = {
-        "left": ser.vector_to_json(model._coerce(left)),
-        "right": ser.vector_to_json(model._coerce(right)),
-        "pullback_left": ser.vector_to_json(mumford_pullback(resolution, left)),
-        "pullback_right": ser.vector_to_json(mumford_pullback(resolution, right)),
-        "value": format_rational(value),
+        "left": ser.vector_to_json(left),
+        "right": ser.vector_to_json(right),
+        "pullback_left": ser.vector_to_json(pullback_left),
+        "pullback_right": ser.vector_to_json(pullback_right),
+        "value": format_rational(model.pairing.pair(pullback_left, pullback_right)),
     }
-    if args.output_format == "csv":
-        rows = [["quantity", "value"]] + [
-            [key, value if isinstance(value, str) else _vector_cell(value)]
-            for key, value in (
-                ("left", left),
-                ("right", right),
-                ("pullback_left", mumford_pullback(resolution, left)),
-                ("pullback_right", mumford_pullback(resolution, right)),
-                ("value", payload["value"]),
-            )
-        ]
-        return _csv_text(rows)
-    return ser.dumps(payload)
+    return _render_flat(payload, args.output_format)
 
 
 def _cmd_hilbert(args) -> str:
@@ -239,7 +247,7 @@ def _cmd_enumerate(args) -> str:
                     format_rational(h.k2),
                     h.chi,
                     h.period,
-                    " ".join(format_rational(c) for c in h.correction),
+                    _vector_cell(h.correction),
                     str(h.extrapolated).lower(),
                     len(entry.witnesses),
                 ]
@@ -277,13 +285,7 @@ def _cmd_bounds(args) -> str:
         payload["kx2_in_window"] = bool(
             report.kx2_lower_exclusive < args.kx2 <= report.kx2_upper
         )
-    if args.output_format == "csv":
-        rows = [["quantity", "value"]] + [
-            [key, str(value) if not isinstance(value, bool) else str(value).lower()]
-            for key, value in sorted(payload.items())
-        ]
-        return _csv_text(rows)
-    return ser.dumps(payload)
+    return _render_flat(dict(sorted(payload.items())), args.output_format)
 
 
 def _flat_report(report: ConstructionReport) -> dict:
@@ -301,28 +303,21 @@ def _flat_report(report: ConstructionReport) -> dict:
     return flat
 
 
-def _build_example(args) -> ConstructionReport:
-    if args.family == "ruled":
-        return ruled_double_cover(RuledCoverInput(k=args.k, g=args.g, q=args.q))
-    return abelian_double_cover(AbelianCoverInput(d=args.d, n=args.n))
+def _build_example(params: dict) -> ConstructionReport:
+    if params["family"] == "ruled":
+        return ruled_double_cover(RuledCoverInput(k=params["k"], g=params["g"], q=params["q"]))
+    return abelian_double_cover(AbelianCoverInput(d=params["d"], n=params["n"]))
 
 
 def _cmd_example(args) -> str:
     if args.sweep is None:
-        flat = _flat_report(_build_example(args))
-        if args.output_format == "csv":
-            return _csv_text([["quantity", "value"]] + [[k, v] for k, v in flat.items()])
-        return ser.dumps(flat)
+        return _render_flat(_flat_report(_build_example(vars(args))), args.output_format)
 
     name, lo, hi = args.sweep
     allowed = ("k", "g", "q") if args.family == "ruled" else ("d", "n")
     if name not in allowed:
         raise InvalidInput(f"sweep parameter {name!r} not in {allowed}")
-    reports = []
-    for value in range(lo, hi + 1):
-        swept = argparse.Namespace(**vars(args))
-        setattr(swept, name, value)
-        reports.append((value, _build_example(swept)))
+    reports = [(value, _build_example({**vars(args), name: value})) for value in range(lo, hi + 1)]
     if args.output_format == "json":
         return ser.dumps(
             [{name: value, **_flat_report(report)} for value, report in reports]

@@ -31,15 +31,9 @@ from typing import Mapping, NamedTuple, Optional
 
 from .baskets import Basket
 from .errors import InvalidInput, NegativeGenus, NonIntegralGenus
-from .exact_core import SymmetricPairing, as_rational, vec_add, vector
+from .exact_core import SymmetricPairing, as_rational, check_int, vec_add, vector
 from .riemann_roch import ModelNumerics
 from .surface_model import SurfaceModel
-
-
-def _check_int(value, name: str, minimum: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise InvalidInput(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -49,11 +43,11 @@ class RuledCoverInput:
     q: int  # genus of the base curve
 
     def __post_init__(self):
-        _check_int(self.k, "k", 1)
+        check_int(self.k, "k", 1)
         if self.k % 2:
             raise InvalidInput(f"k must be even, got {self.k}")
-        _check_int(self.g, "g", 2)
-        _check_int(self.q, "q", 0)
+        check_int(self.g, "g", 2)
+        check_int(self.q, "q", 0)
 
 
 @dataclass(frozen=True)
@@ -62,8 +56,8 @@ class AbelianCoverInput:
     n: int  # multiplication-map parameter for the graph curve
 
     def __post_init__(self):
-        _check_int(self.d, "d", 2)
-        _check_int(self.n, "n", 0)
+        check_int(self.d, "d", 2)
+        check_int(self.n, "n", 0)
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,7 @@ class ConstructionReport:
     def __post_init__(self):
         object.__setattr__(self, "kf2", as_rational(self.kf2))
         object.__setattr__(self, "kf_dot_kx", as_rational(self.kf_dot_kx))
-        _check_int(self.fiber_genus, "fiber_genus", 0)
+        check_int(self.fiber_genus, "fiber_genus", 0)
         if self.kf2 <= 0:
             raise InvalidInput(f"construction produced nonpositive kf2 = {self.kf2}")
         object.__setattr__(self, "auxiliary", dict(self.auxiliary))
@@ -85,9 +79,9 @@ class ConstructionReport:
 
 def riemann_hurwitz(g_base: int, degree: int, ram_degree: int) -> int:
     """Genus of a degree-d cover of a genus-g_base curve with given ramification."""
-    _check_int(g_base, "g_base", 0)
-    _check_int(degree, "degree", 1)
-    _check_int(ram_degree, "ram_degree", 0)
+    check_int(g_base, "g_base", 0)
+    check_int(degree, "degree", 1)
+    check_int(ram_degree, "ram_degree", 0)
     total = degree * (2 * g_base - 2) + ram_degree
     if total % 2:
         raise NonIntegralGenus(
@@ -193,8 +187,8 @@ def fibration_identities(kx2, fiber_genus: int, base_genus: int) -> FibrationNum
     asserted exactly.
     """
     kx2 = as_rational(kx2)
-    _check_int(fiber_genus, "fiber_genus", 2)
-    _check_int(base_genus, "base_genus", 0)
+    check_int(fiber_genus, "fiber_genus", 2)
+    check_int(base_genus, "base_genus", 0)
     factor = (fiber_genus - 1) * (base_genus - 1)
     kxc2 = kx2 - 8 * factor
     kf_dot_kx = kx2 - 4 * factor

@@ -32,7 +32,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, InvalidInput, SingularMatrix
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
@@ -84,12 +83,13 @@ _INT_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive int
 def check_int(value, name: str, minimum: Optional[int] = 0) -> int:
     """Return ``value`` unchanged if it is an int (bools excluded) >= ``minimum``.
 
-    ``minimum`` is 0, 1 or None (no lower bound). Anything else, floats and
-    integral-looking strings included, raises :class:`InvalidInput`; nothing
-    is truncated or coerced.
+    ``minimum`` is any integer, or None for no lower bound. Anything else,
+    floats and integral-looking strings included, raises
+    :class:`InvalidInput`; nothing is truncated or coerced.
     """
     if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
-        raise InvalidInput(f"{name} must be {_INT_KINDS[minimum]}, got {value!r}")
+        kind = _INT_KINDS.get(minimum, f"an integer >= {minimum}")
+        raise InvalidInput(f"{name} must be {kind}, got {value!r}")
     return value
 
 

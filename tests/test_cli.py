@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+import folcan.cli
+import folcan.surface_model
 from folcan.cli import run
+from folcan.surface_model import mumford_pullback
 
 
 def invoke(argv):
@@ -272,6 +275,9 @@ def test_argparse_errors_exit_two(capsys):
     assert status == 2
     status, _, _ = invoke([])
     assert status == 2
+    # there is no global --seed: nothing in folcan is random
+    status, _, _ = invoke(["--seed", "1", "bounds", "--k1", "1", "--k2", "0", "--s", "1"])
+    assert status == 2
 
 
 def test_out_flag(tmp_path):
@@ -290,3 +296,20 @@ def test_byte_determinism(model_file, numerics_file):
         ["example", "abelian", "--d", "3", "--n", "2"],
     ):
         assert invoke(argv) == invoke(argv)
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_intersect_solves_each_pullback_once(model_file, monkeypatch, output_format):
+    # both names are wrapped, so pullbacks solved inside weil_intersect count too
+    calls = []
+
+    def counting_pullback(resolution, strict):
+        calls.append(strict)
+        return mumford_pullback(resolution, strict)
+
+    monkeypatch.setattr(folcan.cli, "mumford_pullback", counting_pullback)
+    monkeypatch.setattr(folcan.surface_model, "mumford_pullback", counting_pullback)
+    status, _, err = invoke(["--format", output_format, "intersect", "--model", model_file, "--left", "D",
+                             "--right", "0,1"])
+    assert status == 0, err
+    assert len(calls) == 2

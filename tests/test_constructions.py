@@ -14,12 +14,38 @@ from folcan.constructions import (
     ruled_double_cover,
     to_model_numerics,
 )
+from folcan.baskets import terminal_cyclic
 from folcan.errors import InvalidInput, NegativeGenus, NonIntegralGenus
 from folcan.riemann_roch import hilbert_value, integrality_check
 
 
 def F(num, den=1):
     return Fraction(num, den)
+
+
+# (call taking the checked value, name in the message, minimum)
+INTEGER_ARGUMENTS = [
+    (lambda v: RuledCoverInput(k=v, g=2, q=0), "k", 1),
+    (lambda v: RuledCoverInput(k=2, g=v, q=0), "g", 2),
+    (lambda v: RuledCoverInput(k=2, g=2, q=v), "q", 0),
+    (lambda v: AbelianCoverInput(d=v, n=0), "d", 2),
+    (lambda v: AbelianCoverInput(d=2, n=v), "n", 0),
+    (lambda v: riemann_hurwitz(v, 2, 6), "g_base", 0),
+    (lambda v: riemann_hurwitz(0, v, 6), "degree", 1),
+    (lambda v: riemann_hurwitz(0, 2, v), "ram_degree", 0),
+    (lambda v: fibration_identities(1, v, 0), "fiber_genus", 2),
+    (lambda v: fibration_identities(1, 2, v), "base_genus", 0),
+    (terminal_cyclic, "terminal cyclic index", 2),
+]
+
+
+@pytest.mark.parametrize("call,name,minimum", INTEGER_ARGUMENTS, ids=[a[1] for a in INTEGER_ARGUMENTS])
+def test_integer_arguments_reject_non_integers_and_small_values(call, name, minimum):
+    kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(minimum, f"an integer >= {minimum}")
+    for bad in (2.0, True, "2", minimum - 1):
+        with pytest.raises(InvalidInput) as info:
+            call(bad)
+        assert str(info.value) == f"{name} must be {kind}, got {bad!r}"
 
 
 def test_input_validation():

@@ -76,6 +76,9 @@ def test_check_int():
         (True, 0, "n must be a nonnegative integer, got True"),
         ("3", None, "n must be an integer, got '3'"),
         (F(2), None, "n must be an integer, got Fraction(2, 1)"),
+        (1, 2, "n must be an integer >= 2, got 1"),
+        (2.0, 3, "n must be an integer >= 3, got 2.0"),
+        (-4, -3, "n must be an integer >= -3, got -4"),
     ):
         with pytest.raises(InvalidInput) as info:
             check_int(value, "n", minimum)
