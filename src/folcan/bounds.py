@@ -11,17 +11,21 @@ On top of that window, this module enumerates every basket compatible with
 the index s up to a caller-supplied size cap, filters by exact index match
 and integrality of the Euler characteristic table, and returns the finite
 deduplicated family of Hilbert functions with witnessing baskets. Each
-basket is checked once, at chi = 0: chi is an integer, so it changes neither
+basket is checked at chi = 0: chi is an integer, so it changes neither
 integrality nor the correction table, and the accepted functions are then
-expanded over the requested chi values. The search is serial; the
-``worker_count`` argument (CLI ``--workers``) is validated and otherwise has
-no effect.
+expanded over the requested chi values. A cusp adds the integer -1 at every
+m >= 1, so integrality depends only on a basket's finite-index part; once a
+finite part fails, every later basket with that part is skipped unchecked.
+A query spanning more than :data:`MAX_BASKETS` baskets is refused before
+any is generated. The search is serial; the ``worker_count`` argument (CLI
+``--workers``) is validated and otherwise has no effect.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,7 +106,10 @@ def basket_alphabet(s: int) -> tuple:
     if s % 2 == 0:
         letters.append(dihedral_zero(2))
         letters.append(dihedral_half())
-    letters.extend(terminal_cyclic(n) for n in range(2, s + 1) if s % n == 0)
+    # divisors in pairs (n, s // n), so the scan is O(sqrt s)
+    small = [n for n in range(1, math.isqrt(s) + 1) if s % n == 0]
+    divisors = set(small) | {s // n for n in small}
+    letters.extend(terminal_cyclic(n) for n in divisors if n >= 2)
     return tuple(sorted(letters, key=lambda p: p.sort_key))
 
 
@@ -164,26 +171,49 @@ def _basket_sort_key(basket: Basket):
     return tuple(p.sort_key for p in basket)
 
 
+# the most baskets one enumerate_hilbert query may span (about 15 s of
+# scanning); larger queries are refused before any basket is generated
+MAX_BASKETS = 1_000_000
+
+
 def enumerate_hilbert(query: EnumerationQuery, worker_count: int = 1) -> tuple[EnumeratedFunction, ...]:
     """Deduplicated Hilbert functions for the query, canonical order.
 
-    Each basket of matching index gets one integrality check and, if
-    accepted, one compression, both at chi = 0. Functions merge on their
-    canonical form; a merged function is extrapolated if any witness is.
-    The result is the chi = 0 family shifted to each chi in ``chi_set``.
-    ``worker_count`` must be a positive integer and does not change the
-    work or the result.
+    The query spans C(|alphabet| + cap, cap) * (max_cusps + 1) baskets; above
+    :data:`MAX_BASKETS` it raises :class:`InvalidInput` with that count and
+    the limit in its context, before scanning. Each basket of matching
+    index whose finite-index part has not failed before gets one
+    integrality check and, if accepted, one compression, both at chi = 0.
+    Functions merge on their canonical form; a merged function is
+    extrapolated if any witness is. The result is the chi = 0 family
+    shifted to each chi in ``chi_set``. ``worker_count`` must be a positive
+    integer and does not change the work or the result.
     """
     check_int(worker_count, "worker_count", 1)
     if query.k1 <= 0:
         raise NonPositiveVolume(f"leading self-intersection must be positive, got {query.k1}")
+    cap, max_cusps = query.basket_cap, query.effective_max_cusps
+    count = math.comb(len(basket_alphabet(query.s)) + cap, cap) * (max_cusps + 1)
+    if count > MAX_BASKETS:
+        raise InvalidInput(
+            f"the query spans {count} baskets, above the limit of {MAX_BASKETS}",
+            baskets=count,
+            limit=MAX_BASKETS,
+        )
     found: dict[tuple, list] = {}
-    for basket in enumerate_baskets(query.s, query.basket_cap, query.effective_max_cusps):
+    rejected: set[tuple] = set()  # finite-index parts whose check failed
+    for basket in enumerate_baskets(query.s, cap, max_cusps):
         idx = q_index(basket)
         if idx != query.s and not (query.q_index_divides and query.s % idx == 0):
             continue
+        # a cusp adds the integer -1 at every m >= 1, so only the finite part
+        # decides integrality; sort_key identifies a profile
+        finite = tuple(p.sort_key for p in basket if p.local_index is not None)
+        if finite in rejected:
+            continue
         numerics = ModelNumerics(k1=query.k1, k2=query.k2, chi=0, basket=basket)
         if not integrality_check(numerics):
+            rejected.add(finite)
             continue
         func = to_hilbert_function(numerics).canonicalized()
         entry = found.setdefault(func.canonical_form(), [func, []])

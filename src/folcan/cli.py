@@ -9,11 +9,15 @@ Five subcommands:
 * ``example``     the two built-in double-cover families, with sweeps
 
 Exit status 0 on success; 1 for I/O and document-shape problems; 2 for
-mathematically invalid input. Errors go to stderr as a JSON object
-``{"error": {"code", "message", "context"}}``. Output is byte-identical
-across repeated runs with the same inputs. ``enumerate --workers N`` is
-accepted (N must be a positive integer) but has no effect; the search is
-serial. There is no ``--seed``: nothing here is random.
+mathematically invalid input, for oversized requests (``hilbert --mmax``
+above :data:`MAX_MMAX`, an enumeration above ``bounds.MAX_BASKETS``) and for
+command-line syntax errors. Errors go to stderr as a JSON object
+``{"error": {"code", "message", "context"}}``; argparse's usage and error
+text go to stderr too, and ``--help`` to stdout, both the streams given to
+:func:`run`. Output is byte-identical across repeated runs with the same
+inputs. ``enumerate --workers N`` is accepted (N must be a positive
+integer) but has no effect; the search is serial. There is no ``--seed``:
+nothing here is random.
 
 The flat reports (``intersect``, ``bounds`` and a single ``example``) share
 one renderer: a JSON object with sorted keys, or ``quantity,value`` CSV rows
@@ -25,6 +29,7 @@ columns.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -50,6 +55,10 @@ from .errors import DocumentError, FolcanError, InvalidInput
 from .exact_core import format_rational, parse_rational
 from .riemann_roch import hilbert_value, integrality_check, to_hilbert_function
 from .surface_model import ResolutionData, mumford_pullback
+
+
+# the largest ``hilbert --mmax``: one table row per m (about 3 s at the limit)
+MAX_MMAX = 100_000
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -211,6 +220,10 @@ def _cmd_hilbert(args) -> str:
     numerics = ser.numerics_from_json(_load_json(args.numerics))
     if args.mmax < 0:
         raise InvalidInput(f"--mmax must be nonnegative, got {args.mmax}")
+    if args.mmax > MAX_MMAX:
+        raise InvalidInput(
+            f"--mmax {args.mmax} is above the limit of {MAX_MMAX}", mmax=args.mmax, limit=MAX_MMAX
+        )
     values = [(m, hilbert_value(numerics, m)) for m in range(args.mmax + 1)]
     if args.output_format == "csv":
         return _csv_text([["m", "P"]] + [[m, format_rational(v)] for m, v in values])
@@ -349,7 +362,9 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        # argparse writes usage, errors and --help to the process streams
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -155,28 +155,47 @@ class SymmetricPairing:
                 f"vector of length {len(v)} against a pairing of dimension {self.dimension}"
             )
 
+    @cached_property
+    def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Each row's nonzero entries as ``(column, value)`` pairs, in column order.
+
+        Computed once and kept on the instance; products and the congruence
+        read only these.
+        """
+        return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in self.entries)
+
+    def _row_dot(self, i: int, v: Vector) -> Fraction:
+        return sum((a * v[j] for j, a in self.nonzeros[i] if v[j]), Fraction(0))
+
     def apply(self, v: Sequence) -> Vector:
-        """Matrix-vector product A v, skipping zero products."""
+        """Matrix-vector product A v over the nonzero entries and the support of v."""
         v = vector(v)
         self._check_length(v)
-        support = [(j, x) for j, x in enumerate(v) if x]
-        return tuple(sum((row[j] * x for j, x in support if row[j]), Fraction(0)) for row in self.entries)
+        return tuple(self._row_dot(i, v) for i in range(self.dimension))
 
     def pair(self, u: Sequence, v: Sequence) -> Fraction:
-        """Bilinear value u^T A v."""
+        """Bilinear value u^T A v over the nonzero entries and the supports of u and v."""
         u = vector(u)
         self._check_length(u)
-        image = self.apply(v)
-        return sum((u[i] * image[i] for i in range(len(u))), Fraction(0))
+        v = vector(v)
+        self._check_length(v)
+        return sum((x * self._row_dot(i, v) for i, x in enumerate(u) if x), Fraction(0))
 
     def restrict(self, indices: Sequence[int]) -> "SymmetricPairing":
-        """Submatrix on the given basis positions, in the given order."""
+        """Submatrix on the given basis positions, in the given order.
+
+        A principal submatrix of a validated symmetric matrix is square,
+        symmetric and exact already, so it is built without the
+        constructor's coercion and checks.
+        """
         for i in indices:
             if not 0 <= i < self.dimension:
                 raise InvalidInput(f"basis position {i} out of range", dimension=self.dimension)
-        return SymmetricPairing(
-            tuple(tuple(self.entries[i][j] for j in indices) for i in indices)
+        sub = object.__new__(SymmetricPairing)
+        object.__setattr__(
+            sub, "entries", tuple(tuple(self.entries[i][j] for j in indices) for i in indices)
         )
+        return sub
 
     @cached_property
     def congruence(self) -> tuple[tuple[tuple[int, int, Fraction], ...], Vector]:
@@ -194,7 +213,7 @@ class SymmetricPairing:
         block that is identically zero contributes zeros to D.
         """
         n = self.dimension
-        rows = [{j: a for j, a in enumerate(row) if a} for row in self.entries]
+        rows = [dict(row) for row in self.nonzeros]
         diagonal = [Fraction(0)] * n
         steps = []
 

@@ -91,6 +91,18 @@ def integrality_window(num: ModelNumerics) -> int:
     return window_length(q_index(num.basket), num.k1, num.k2)
 
 
+def quadratic_numerators(k1: Fraction, k2: Fraction, *denominators: int) -> tuple[int, int, int]:
+    """``(D, a, b)`` with D = lcm(2 den k1, 2 den k2, *denominators), a = D k1 / 2, b = D k2 / 2.
+
+    D (k1 m^2 - k2 m) / 2 = (a m - b) m, an integer for every integer m, and
+    D is a multiple of each given denominator.
+    """
+    den = math.lcm(2 * k1.denominator, 2 * k2.denominator, *denominators)
+    a = k1.numerator * (den // (2 * k1.denominator))
+    b = k2.numerator * (den // (2 * k2.denominator))
+    return den, a, b
+
+
 def integrality_check(num: ModelNumerics) -> bool:
     """Whether every value P(m), m >= 0, is an integer; decided in integers.
 
@@ -102,10 +114,7 @@ def integrality_check(num: ModelNumerics) -> bool:
     exactly when D divides N(m), and D chi drops out of that test.
     """
     tables = [p.term_numerators for p in num.basket]
-    k1, k2 = num.k1, num.k2
-    den = math.lcm(2 * k1.denominator, 2 * k2.denominator, *(d for d, _ in tables))
-    a = k1.numerator * (den // (2 * k1.denominator))
-    b = k2.numerator * (den // (2 * k2.denominator))
+    den, a, b = quadratic_numerators(num.k1, num.k2, *(d for d, _ in tables))
     terms = [(den // d, t, len(t)) for d, t in tables]
     for m in range(1, integrality_window(num)):
         total = (a * m - b) * m
@@ -176,9 +185,11 @@ def to_hilbert_function(num: ModelNumerics) -> HilbertFunction:
     """Compress the table of ``num`` into one period of corrections.
 
     Requires every value to be an integer; raises :class:`NotIntegral`
-    otherwise. The stored period is the basket index; cusp contributions
+    otherwise. The stored period T is the basket index; cusp contributions
     are constant on m >= 1 and fold into every correction entry (residue 0
-    reads the term at m = T, not m = 0).
+    reads the term at m = T, not m = 0). The entry at residue r is one
+    integer sum of the profiles' ``term_numerators`` over their common
+    denominator, which equals ``basket_term(num.basket, r or T)``.
     """
     if not integrality_check(num):
         raise NotIntegral(
@@ -186,8 +197,12 @@ def to_hilbert_function(num: ModelNumerics) -> HilbertFunction:
             window=integrality_window(num),
         )
     period = q_index(num.basket)
+    tables = [p.term_numerators for p in num.basket]
+    den = math.lcm(*(d for d, _ in tables))
+    scaled = [(den // d, t, len(t)) for d, t in tables]
     correction = tuple(
-        basket_term(num.basket, r if r >= 1 else period) for r in range(period)
+        Fraction(sum(scale * t[r % length] for scale, t, length in scaled), den)
+        for r in range(period)
     )
     flagged = any(
         basket_uses_extrapolation(num.basket, m) for m in range(1, period + 1)

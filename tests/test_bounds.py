@@ -92,6 +92,10 @@ def test_basket_alphabet():
     # odd index: no dihedral letters beyond index 1
     a3 = basket_alphabet(3)
     assert [(p.kind.value, p.local_index) for p in a3] == [("DihedralZero", 1), ("TerminalCyclic", 3)]
+    # the divisor-pair scan finds every divisor, square roots included
+    for s in (36, 97, 360, 1024):
+        terminals = [p.local_index for p in basket_alphabet(s) if p.kind is SingularityKind.TERMINAL_CYCLIC]
+        assert terminals == [n for n in range(2, s + 1) if s % n == 0]
 
 
 def baskets_as_sets(stream):
@@ -262,3 +266,54 @@ def test_enumerate_hilbert_emitted_invariants():
         for m in range(0, 4 * h.period + 1):
             assert h.value(m).denominator == 1
         assert entry.witnesses == tuple(sorted(entry.witnesses, key=lambda b: tuple(p.sort_key for p in b)))
+
+
+def test_each_rejected_finite_part_is_checked_once(monkeypatch):
+    # a cusp adds the integer -1 at every m >= 1, so a basket is rejected
+    # exactly when its finite-index part is; that part is checked once
+    import folcan.bounds
+
+    query = EnumerationQuery(
+        k1=F(1, 2), k2=F(1), s=6, chi_set=frozenset({0, 3}), basket_cap=3, max_cusps=2
+    )
+    original = folcan.bounds.integrality_check
+    calls = []
+
+    def counting(num):
+        verdict = original(num)
+        calls.append((num.basket, verdict))
+        return verdict
+
+    monkeypatch.setattr(folcan.bounds, "integrality_check", counting)
+    result = enumerate_hilbert(query)
+
+    def finite(basket):
+        return tuple(p for p in basket if p.kind is not SingularityKind.NON_QGOR_CUSP)
+
+    from folcan.riemann_roch import ModelNumerics
+
+    matching = [b for b in enumerate_baskets(6, 3, 2) if q_index(b) == 6]
+    failing = [b for b in matching if not original(ModelNumerics(k1=query.k1, k2=query.k2, chi=0, basket=b))]
+    rejected_parts = {finite(b) for b in failing}
+    witnesses = sum(len(e.witnesses) for e in result if e.function.chi == 0)
+    assert witnesses and len(failing) > len(rejected_parts)  # the query exercises the skip
+    assert len(calls) == len(rejected_parts) + witnesses
+    assert sum(verdict for _, verdict in calls) == witnesses
+    rejected_calls = [finite(b) for b, verdict in calls if not verdict]
+    assert len(rejected_calls) == len(set(rejected_calls)) and set(rejected_calls) == rejected_parts
+
+
+def test_basket_count_limit(monkeypatch):
+    import folcan.bounds
+
+    query = EnumerationQuery(k1=F(1), k2=F(0), s=2, chi_set=frozenset({1}), basket_cap=2, max_cusps=1)
+    spanned = len(list(enumerate_baskets(2, 2, 1)))
+    assert spanned == 30  # C(4 + 2, 2) * (1 + 1): four letters divide s = 2
+    monkeypatch.setattr(folcan.bounds, "MAX_BASKETS", spanned)
+    assert len(enumerate_hilbert(query)) == 2
+    monkeypatch.setattr(folcan.bounds, "MAX_BASKETS", spanned - 1)
+    with pytest.raises(InvalidInput) as info:
+        enumerate_hilbert(query)
+    assert str(info.value) == "the query spans 30 baskets, above the limit of 29"
+    assert info.value.code == "invalid_input"
+    assert info.value.context == {"baskets": 30, "limit": 29}

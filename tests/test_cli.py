@@ -313,3 +313,47 @@ def test_intersect_solves_each_pullback_once(model_file, monkeypatch, output_for
                              "--right", "0,1"])
     assert status == 0, err
     assert len(calls) == 2
+
+
+def test_argparse_output_goes_to_the_given_streams(capsys):
+    status, out, err = invoke(["bounds", "--k1", "x"])
+    assert status == 2 and out == ""
+    assert err.startswith("usage: folcan") and "error:" in err
+    status, out, err = invoke(["--help"])
+    assert status == 0 and err == ""
+    assert out.startswith("usage: folcan") and "Exact numerical invariants of foliated surfaces." in out
+    status, out, err = invoke(["enumerate", "--help"])
+    assert status == 0 and out.startswith("usage: folcan enumerate") and err == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_hilbert_mmax_limit(numerics_file, monkeypatch):
+    assert folcan.cli.MAX_MMAX == 100_000
+    monkeypatch.setattr(folcan.cli, "MAX_MMAX", 5)
+    status, out, _ = invoke(["hilbert", "--numerics", numerics_file, "--mmax", "5"])
+    assert status == 0 and len(json.loads(out)["values"]) == 6
+    status, out, err = invoke(["hilbert", "--numerics", numerics_file, "--mmax", "6"])
+    assert status == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_input"
+    assert error["message"] == "--mmax 6 is above the limit of 5"
+    assert error["context"] == {"mmax": 6, "limit": 5}
+
+
+def test_enumerate_basket_limit_returns_at_once(monkeypatch):
+    import folcan.bounds
+
+    def never(*args):
+        raise AssertionError("baskets were generated for a refused query")
+
+    monkeypatch.setattr(folcan.bounds, "enumerate_baskets", never)
+    argv = ["enumerate", "--k1", "1", "--k2", "0", "--s", "60", "--chi", "0", "--cap", "1000000", "--max-cusps", "2"]
+    status, out, err = invoke(argv)
+    assert status == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_input"
+    assert error["context"]["limit"] == folcan.bounds.MAX_BASKETS == 1_000_000
+    assert error["context"]["baskets"] > error["context"]["limit"]
+    assert error["message"] == (
+        f"the query spans {error['context']['baskets']} baskets, above the limit of {folcan.bounds.MAX_BASKETS}"
+    )

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from folcan.errors import SingularMatrix
+from folcan.errors import DimensionMismatch, InvalidInput, SingularMatrix
 from folcan.exact_core import SymmetricPairing, signature, solve_linear
 from folcan.surface_model import ResolutionData, SurfaceModel, mumford_pullback, weil_intersect
 
@@ -214,3 +214,40 @@ def test_one_resolution_factors_its_gram_once(monkeypatch):
         mumford_pullback(res, strict)
     assert weil_intersect(res, (1, 0) + (0,) * 32, (0, 1) + (0,) * 32) == F(3 * 16, 33)
     assert len(calls) == 1 and calls[0] is res.exceptional_gram
+
+
+def test_sparse_products_match_a_dense_reference():
+    rng = random.Random(1018)
+    zero_rows = [[0, 0, 0], [0, -2, 1], [0, 1, 0]]
+    forms = random_forms() + [chain(n) for n in (1, 2, 9, 33)] + [dense_negative(rng, 6), zero_rows]
+
+    def sparse_vector(n):
+        return tuple(F(rng.choice((0, 0, rng.randint(-5, 5))), rng.randint(1, 3)) for _ in range(n))
+
+    for rows in forms:
+        pairing = SymmetricPairing.from_rows(rows)
+        n = len(rows)
+        for _ in range(3):
+            u, v = sparse_vector(n), sparse_vector(n)
+            image = pairing.apply(v)
+            assert image == matvec(rows, v) and all(type(x) is F for x in image)
+            value = pairing.pair(u, v)
+            assert value == sum((a * b for a, b in zip(u, matvec(rows, v))), F(0)) and type(value) is F
+        for length in {n - 1, n + 1} - {-1}:
+            bad = (F(1),) * length
+            with pytest.raises(DimensionMismatch):
+                pairing.apply(bad)
+            with pytest.raises(DimensionMismatch):
+                pairing.pair(bad, (F(0),) * n)
+            with pytest.raises(DimensionMismatch):
+                pairing.pair((F(0),) * n, bad)
+        # a restriction equals the validated submatrix, in products and in its factor
+        indices = rng.sample(range(n), rng.randint(0, n))
+        sub = pairing.restrict(indices)
+        reference = SymmetricPairing.from_rows([[rows[i][j] for j in indices] for i in indices])
+        assert sub == reference and sub.nonzeros == reference.nonzeros
+        assert signature(sub) == signature(reference)
+        w = sparse_vector(len(indices))
+        assert sub.apply(w) == reference.apply(w)
+        with pytest.raises(InvalidInput):
+            pairing.restrict([n])

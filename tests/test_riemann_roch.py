@@ -3,8 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from folcan.baskets import Basket, basket_term, cusp, dihedral_half, dihedral_zero, terminal_cyclic
+from folcan.baskets import (
+    Basket,
+    SingularityKind,
+    basket_term,
+    cusp,
+    dihedral_half,
+    dihedral_zero,
+    q_index,
+    terminal_cyclic,
+)
+from folcan.bounds import EnumeratedFunction
 from folcan.errors import InvalidInput, NotIntegral
+from folcan.exact_core import format_rational
 from folcan.riemann_roch import (
     HilbertFunction,
     ModelNumerics,
@@ -15,6 +26,7 @@ from folcan.riemann_roch import (
     table_second_difference,
     to_hilbert_function,
 )
+from folcan.serialization import enumerated_function_to_json, value_window
 
 
 def F(num, den=1):
@@ -269,3 +281,37 @@ def test_integrality_check_matches_fraction_definition():
         assert integrality_check(num) == expected, num
         verdicts[expected] += 1
     assert min(verdicts.values()) > 1000
+
+
+def _accepted_numerics(rng, count):
+    """Seeded random numerics whose tables are integral (see _random_numerics)."""
+    accepted = []
+    while len(accepted) < count:
+        num = _random_numerics(rng)
+        if integrality_check(num):
+            accepted.append(num)
+    return accepted
+
+
+def test_integer_correction_matches_basket_term():
+    rng = random.Random(1805)
+    seen = {"override": 0, "cusp": 0, "fractional": 0}
+    for num in _accepted_numerics(rng, 600):
+        period = q_index(num.basket)
+        expected = tuple(basket_term(num.basket, r or period) for r in range(period))
+        assert to_hilbert_function(num).correction == expected, num
+        seen["override"] += any(p.override is not None for p in num.basket)
+        seen["cusp"] += any(p.kind is SingularityKind.NON_QGOR_CUSP for p in num.basket)
+        seen["fractional"] += num.k1.denominator > 1 or num.k2.denominator > 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_listed_values_match_hilbert_function_value():
+    # enumerated_function_to_json lists P(m) from integers; HilbertFunction.value is the reference
+    rng = random.Random(1806)
+    for num in _accepted_numerics(rng, 300):
+        h = to_hilbert_function(num)
+        for function in (h, h.canonicalized()):
+            values = enumerated_function_to_json(EnumeratedFunction(function, (num.basket,)))["values"]
+            end = 2 * value_window(function)
+            assert values == {str(m): format_rational(function.value(m)) for m in range(end + 1)}
