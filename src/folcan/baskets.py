@@ -12,8 +12,9 @@ The four kinds:
     cyclic quotient point of index n >= 2; term 0 when n | m and
     -(n-1)/(2n) when m is congruent to +-1 mod n. At the remaining
     residues the exact value depends on local data this package does not
-    model, so the default table extrapolates -r(n-r)/(2n) at residue r and
-    every evaluation that lands there is reported as extrapolated (see
+    model, so the default table extrapolates -r(n-r)/(2n) (the formula that
+    gives the backed values at r = 0, +-1) to every residue r, and every
+    evaluation that lands off those residues is reported as extrapolated (see
     :func:`uses_extrapolation`). Callers who know the true table can attach
     an ``override`` of length n.
 
@@ -143,10 +144,7 @@ def local_term(profile: LocalProfile, m: int) -> Fraction:
     r = m % n
     if profile.override is not None:
         return profile.override[r]
-    if r == 0:
-        return Fraction(0)
-    if r == 1 or r == n - 1:
-        return Fraction(-(n - 1), 2 * n)
+    # 0 at r = 0 and -(n-1)/(2n) at r = +-1, the backed values
     return Fraction(-r * (n - r), 2 * n)
 
 

@@ -8,10 +8,13 @@ Five subcommands:
 * ``bounds``      the admissible window for the ambient canonical square
 * ``example``     the two built-in double-cover families, with sweeps
 
-Exit status 0 on success; 1 for I/O and document-shape problems; 2 for
-mathematically invalid input, for oversized requests (``hilbert --mmax``
-above :data:`MAX_MMAX`, an enumeration above ``bounds.MAX_BASKETS``) and for
-command-line syntax errors. Errors go to stderr as a JSON object
+Exit status 0 on success; 1 for I/O and document-shape problems (a
+non-canonical rational in a document among them); 2 for mathematically
+invalid input, for oversized requests (``hilbert --mmax`` above
+:data:`MAX_MMAX`, an enumeration above ``bounds.MAX_BASKETS``, a basket
+period above ``riemann_roch.MAX_PERIOD``) and for command-line syntax
+errors, a rational flag not in the canonical ``p/q`` form among them.
+Errors go to stderr as a JSON object
 ``{"error": {"code", "message", "context"}}``; argparse's usage and error
 text go to stderr too, and ``--help`` to stdout, both the streams given to
 :func:`run`. Output is byte-identical across repeated runs with the same

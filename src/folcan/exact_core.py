@@ -34,26 +34,31 @@ from .errors import DimensionMismatch, InvalidInput, SingularMatrix
 
 Vector = tuple[Fraction, ...]
 
-_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` (or bare ``p``) into an exact rational.
+    """Parse the canonical ``p/q`` (or bare ``p``) into an exact rational.
 
-    The denominator, when present, must be an unsigned integer; ``q = 0``
-    and any sign placement other than a single leading minus on the
-    numerator are rejected.
+    Exactly the strings :func:`format_rational` emits are accepted: ASCII
+    digits, a single leading minus on a nonzero numerator, q >= 2 and
+    coprime to p, no leading zeros and no surrounding whitespace. So
+    ``"2/4"``, ``"10/5"``, ``"007"``, ``" 3 "``, ``"-0"`` and ``"1/0"`` are
+    all rejected with :class:`ValueError`.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {text!r}")
-    match = _RATIONAL_RE.fullmatch(text.strip())
+    match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         raise ValueError(f"not a canonical rational: {text!r}")
     numerator = int(match.group(1))
     denominator = int(match.group(2)) if match.group(2) is not None else 1
     if denominator == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(numerator, denominator)
+    value = Fraction(numerator, denominator)
+    if format_rational(value) != text:
+        raise ValueError(f"not a canonical rational: {text!r}")
+    return value
 
 
 def format_rational(value: Fraction | int) -> str:

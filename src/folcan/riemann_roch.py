@@ -15,6 +15,7 @@ distinct baskets realizing the same table compare equal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -83,12 +84,26 @@ def window_length(period: int, k1: Fraction, k2: Fraction) -> int:
     return math.lcm(period, 2 * k1.denominator, 2 * k2.denominator)
 
 
+# the largest basket period T whose tables are built: term tables, the
+# integrality window and the listed values are all O(T)
+MAX_PERIOD = 100_000
+
+
 def integrality_window(num: ModelNumerics) -> int:
     """Length L of the window [0, L) whose integrality decides all of it.
 
-    This is :func:`window_length` with T the basket period.
+    This is :func:`window_length` with T the basket period. A period above
+    :data:`MAX_PERIOD` raises :class:`InvalidInput` with the period and the
+    limit in its context, before any table is built.
     """
-    return window_length(q_index(num.basket), num.k1, num.k2)
+    period = q_index(num.basket)
+    if period > MAX_PERIOD:
+        raise InvalidInput(
+            f"basket period {period} is above the limit of {MAX_PERIOD}",
+            period=period,
+            limit=MAX_PERIOD,
+        )
+    return window_length(period, num.k1, num.k2)
 
 
 def quadratic_numerators(k1: Fraction, k2: Fraction, *denominators: int) -> tuple[int, int, int]:
@@ -103,20 +118,26 @@ def quadratic_numerators(k1: Fraction, k2: Fraction, *denominators: int) -> tupl
     return den, a, b
 
 
+def _scaled_terms(num: ModelNumerics) -> tuple[int, int, int, list]:
+    # quadratic_numerators over the profile denominators; term tables as (D // d, t, len(t))
+    tables = [p.term_numerators for p in num.basket]
+    den, a, b = quadratic_numerators(num.k1, num.k2, *(d for d, _ in tables))
+    return den, a, b, [(den // d, t, len(t)) for d, t in tables]
+
+
 def integrality_check(num: ModelNumerics) -> bool:
     """Whether every value P(m), m >= 0, is an integer; decided in integers.
 
     The verdict is that of ``hilbert_value(num, m).denominator == 1`` over
-    the window of :func:`integrality_window`. P(0) = chi is an integer. For
-    m >= 1, D * P(m) is the integer N(m) = (a m - b) m + D chi + sum of the
-    profiles' scaled term numerators, where D = lcm(2 den k1, 2 den k2, the
-    profile denominators), a = D k1 / 2 and b = D k2 / 2; P(m) is an integer
-    exactly when D divides N(m), and D chi drops out of that test.
+    the window of :func:`integrality_window`, taken before any term table is
+    built. P(0) = chi is an integer. For m >= 1, D * P(m) is the integer
+    N(m) = (a m - b) m + D chi + sum of the profiles' scaled term numerators
+    (:func:`_scaled_terms`); P(m) is an integer exactly when D divides N(m),
+    and D chi drops out of that test.
     """
-    tables = [p.term_numerators for p in num.basket]
-    den, a, b = quadratic_numerators(num.k1, num.k2, *(d for d, _ in tables))
-    terms = [(den // d, t, len(t)) for d, t in tables]
-    for m in range(1, integrality_window(num)):
+    window = integrality_window(num)
+    den, a, b, terms = _scaled_terms(num)
+    for m in range(1, window):
         total = (a * m - b) * m
         for scale, t, period in terms:
             total += scale * t[m % period]
@@ -152,11 +173,18 @@ class HilbertFunction:
                 f"correction table has length {len(self.correction)}, period is {self.period}"
             )
 
+    @functools.cached_property
+    def _integer_form(self) -> tuple[int, int, int, tuple[int, ...]]:
+        # (D, a, b, c): D value(m) = (a m - b) m + c[m mod T] for m >= 1, c[r] = D (chi + correction[r])
+        den, a, b = quadratic_numerators(self.k1, self.k2, *(x.denominator for x in self.correction))
+        return den, a, b, tuple(den * self.chi + x.numerator * (den // x.denominator) for x in self.correction)
+
     def value(self, m: int) -> Fraction:
         check_int(m, "multiple")
-        quadratic = (self.k1 * m * m - self.k2 * m) / 2
-        correction = self.correction[m % self.period] if m >= 1 else Fraction(0)
-        return quadratic + self.chi + correction
+        if m == 0:
+            return Fraction(self.chi)
+        den, a, b, shifted = self._integer_form
+        return Fraction((a * m - b) * m + shifted[m % self.period], den)
 
     def canonical_form(self) -> tuple:
         # contract the correction tuple to its minimal period
@@ -188,8 +216,8 @@ def to_hilbert_function(num: ModelNumerics) -> HilbertFunction:
     otherwise. The stored period T is the basket index; cusp contributions
     are constant on m >= 1 and fold into every correction entry (residue 0
     reads the term at m = T, not m = 0). The entry at residue r is one
-    integer sum of the profiles' ``term_numerators`` over their common
-    denominator, which equals ``basket_term(num.basket, r or T)``.
+    integer sum of the profiles' scaled ``term_numerators``
+    (:func:`_scaled_terms`), which equals ``basket_term(num.basket, r or T)``.
     """
     if not integrality_check(num):
         raise NotIntegral(
@@ -197,16 +225,14 @@ def to_hilbert_function(num: ModelNumerics) -> HilbertFunction:
             window=integrality_window(num),
         )
     period = q_index(num.basket)
-    tables = [p.term_numerators for p in num.basket]
-    den = math.lcm(*(d for d, _ in tables))
-    scaled = [(den // d, t, len(t)) for d, t in tables]
+    den, _, _, terms = _scaled_terms(num)
     correction = tuple(
-        Fraction(sum(scale * t[r % length] for scale, t, length in scaled), den)
+        Fraction(sum(scale * t[r % length] for scale, t, length in terms), den)
         for r in range(period)
     )
-    flagged = any(
-        basket_uses_extrapolation(num.basket, m) for m in range(1, period + 1)
-    )
+    # every index n divides T, and residue 2 lies outside {0, 1, n - 1} exactly
+    # when some residue does (n >= 4), so m = 2 decides the flag for m in [1, T]
+    flagged = basket_uses_extrapolation(num.basket, 2)
     return HilbertFunction(
         k1=num.k1,
         k2=num.k2,

@@ -32,7 +32,7 @@ from .baskets import (
 from .bounds import EnumeratedFunction
 from .errors import DocumentError
 from .exact_core import SymmetricPairing, Vector, format_rational, parse_rational
-from .riemann_roch import HilbertFunction, ModelNumerics, quadratic_numerators, window_length
+from .riemann_roch import HilbertFunction, ModelNumerics, window_length
 from .surface_model import ResolutionData, SurfaceModel
 
 
@@ -248,22 +248,10 @@ def hilbert_function_from_json(data) -> HilbertFunction:
 
 
 def enumerated_function_to_json(entry: EnumeratedFunction) -> dict:
-    """The function, its witnesses and its values P(0..2L), L = :func:`value_window`.
-
-    For m >= 1, P(m) = ((a m - b) m + D chi + c[m mod T]) / D with the
-    integers of :func:`quadratic_numerators` and c = D * correction, all
-    worked out once; P(0) = chi.
-    """
+    """The function, its witnesses and its values P(0..2L), L = :func:`value_window`."""
     h = entry.function
-    table_end = 2 * value_window(h)
-    den, a, b = quadratic_numerators(h.k1, h.k2, *(c.denominator for c in h.correction))
-    shifted = [den * h.chi + c.numerator * (den // c.denominator) for c in h.correction]
-    period = h.period
-    values = {"0": rational_to_json(h.chi)}
-    for m in range(1, table_end + 1):
-        values[str(m)] = rational_to_json(Fraction((a * m - b) * m + shifted[m % period], den))
     return {
         "function": hilbert_function_to_json(h),
         "witnesses": [basket_to_json(b) for b in entry.witnesses],
-        "values": values,
+        "values": {str(m): rational_to_json(h.value(m)) for m in range(2 * value_window(h) + 1)},
     }

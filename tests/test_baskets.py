@@ -92,6 +92,16 @@ def test_local_term_terminal_edge_residues():
     assert local_term(p, 3) == F(-3, 5)
 
 
+def test_default_table_gives_the_backed_residues():
+    # the one formula -r(n-r)/(2n) covers residues 0 and +-1 too
+    for n in range(2, 40):
+        p = terminal_cyclic(n)
+        for k in range(3):
+            assert local_term(p, k * n + n) == 0
+            assert local_term(p, k * n + 1) == F(-(n - 1), 2 * n)
+            assert local_term(p, k * n + n - 1) == F(-(n - 1), 2 * n)
+
+
 def test_extrapolation_flag():
     p = terminal_cyclic(5)
     assert not uses_extrapolation(p, 1)

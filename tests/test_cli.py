@@ -357,3 +357,42 @@ def test_enumerate_basket_limit_returns_at_once(monkeypatch):
     assert error["message"] == (
         f"the query spans {error['context']['baskets']} baskets, above the limit of {folcan.bounds.MAX_BASKETS}"
     )
+
+
+def test_oversized_period_returns_at_once(tmp_path, monkeypatch):
+    import folcan.baskets
+
+    calls = []
+    original = folcan.baskets.local_term
+
+    def counting(profile, m):
+        calls.append(m)
+        return original(profile, m)
+
+    monkeypatch.setattr(folcan.baskets, "local_term", counting)
+    doc = {"k1": "1", "k2": "0", "chi": 1, "basket": [{"kind": "TerminalCyclic", "n": 10**6}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    for argv, period in (
+        (["hilbert", "--numerics", str(path), "--mmax", "3"], 10**6),
+        (["enumerate", "--k1", "1", "--k2", "0", "--s", "1000003", "--chi", "0", "--cap", "1"], 1000003),
+    ):
+        status, out, err = invoke(argv)
+        assert status == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "invalid_input"
+        assert error["context"] == {"period": period, "limit": 100_000}
+    # only the four table rows of hilbert were evaluated, no period table
+    assert len(calls) <= 4
+
+
+def test_non_canonical_rationals_are_refused(tmp_path):
+    status, out, err = invoke(["bounds", "--k1", "2/4", "--k2", "0", "--s", "2"])
+    assert status == 2 and out == ""
+    assert "not a canonical rational: '2/4'" in err
+    doc = {"k1": "1", "k2": " 0", "chi": 1, "basket": []}
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps(doc))
+    status, out, err = invoke(["hilbert", "--numerics", str(path), "--mmax", "1"])
+    assert status == 1 and out == ""
+    assert json.loads(err)["error"]["code"] == "document_error"

@@ -1,12 +1,15 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import folcan.riemann_roch
 from folcan.baskets import (
     Basket,
     SingularityKind,
     basket_term,
+    basket_uses_extrapolation,
     cusp,
     dihedral_half,
     dihedral_zero,
@@ -315,3 +318,76 @@ def test_listed_values_match_hilbert_function_value():
             values = enumerated_function_to_json(EnumeratedFunction(function, (num.basket,)))["values"]
             end = 2 * value_window(function)
             assert values == {str(m): format_rational(function.value(m)) for m in range(end + 1)}
+
+
+def _fraction_value(h, m):
+    """The definition of a HilbertFunction's value, in Fraction arithmetic."""
+    correction = h.correction[m % h.period] if m >= 1 else F(0)
+    return (h.k1 * m * m - h.k2 * m) / 2 + h.chi + correction
+
+
+def test_value_matches_fraction_definition():
+    # value reads a cached integer form; this is its independent reference
+    rng = random.Random(1807)
+    for _ in range(400):
+        period = rng.randint(1, 8)
+        h = HilbertFunction(
+            k1=F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6))),
+            k2=F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5))),
+            chi=rng.randint(-5, 5),
+            period=period,
+            correction=tuple(F(-rng.randint(0, 9), rng.randint(1, 12)) for _ in range(period)),
+        )
+        copies = (h, h.canonicalized(), dataclasses.replace(h, chi=h.chi - rng.randint(1, 7)))
+        for function in copies:
+            for m in range(3 * function.period + 1):
+                assert function.value(m) == _fraction_value(function, m), (function, m)
+
+
+def _flag_basket(rng):
+    profiles = []
+    for _ in range(rng.randint(0, 3)):
+        roll = rng.randrange(5)
+        n = rng.randint(2, 7)
+        if roll == 0:
+            profiles.append(rng.choice((dihedral_zero(1), dihedral_zero(2), dihedral_half())))
+        elif roll == 1:
+            profiles.append(cusp())
+        elif roll == 2:
+            profiles.append(terminal_cyclic(n, [F(0)] + [F(-rng.randint(0, 4), rng.randint(1, 4)) for _ in range(n - 1)]))
+        else:
+            profiles.append(terminal_cyclic(n))
+    return Basket(tuple(profiles * rng.choice((1, 2, 4))))
+
+
+def test_extrapolated_flag_matches_the_residue_scan():
+    # to_hilbert_function reads the flag at m = 2; the definition scans [1, T]
+    rng = random.Random(1808)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        basket = _flag_basket(rng)
+        period = q_index(basket)
+        scanned = any(basket_uses_extrapolation(basket, m) for m in range(1, period + 1))
+        assert basket_uses_extrapolation(basket, 2) == scanned, basket
+        num = ModelNumerics(k1=F(rng.randint(1, 6), rng.choice((1, 2))), k2=F(rng.randint(-3, 3)), chi=0, basket=basket)
+        if integrality_check(num):
+            assert to_hilbert_function(num).extrapolated == scanned, basket
+            seen[scanned] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_period_limit(monkeypatch):
+    assert folcan.riemann_roch.MAX_PERIOD == 100_000
+    monkeypatch.setattr(folcan.riemann_roch, "MAX_PERIOD", 12)
+    accepted = ModelNumerics(k1=F(1), k2=F(0), chi=0, basket=Basket.of(terminal_cyclic(4), terminal_cyclic(3)))
+    assert integrality_window(accepted) == 12
+    integrality_check(accepted)
+    refused = ModelNumerics(k1=F(1), k2=F(0), chi=0, basket=Basket.of(terminal_cyclic(13)))
+    for call in (integrality_window, integrality_check, to_hilbert_function):
+        with pytest.raises(InvalidInput) as info:
+            call(refused)
+        assert str(info.value) == "basket period 13 is above the limit of 12"
+        assert info.value.code == "invalid_input"
+        assert info.value.context == {"period": 13, "limit": 12}
+    # the refusal comes before the profile's term table is built
+    assert "term_numerators" not in vars(refused.basket.profiles[0])
