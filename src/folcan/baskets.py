@@ -35,6 +35,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -169,7 +170,7 @@ class Basket:
     profiles: tuple[LocalProfile, ...] = ()
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.profiles, key=lambda p: p.sort_key))
+        ordered = tuple(sorted(self.profiles, key=operator.attrgetter("sort_key")))
         object.__setattr__(self, "profiles", ordered)
 
     @classmethod
@@ -197,9 +198,7 @@ def q_index(basket: Basket) -> int:
 
     Cusps carry no finite index and are excluded; the empty product is 1.
     """
-    return math.lcm(
-        *(p.local_index for p in basket if p.kind is not SingularityKind.NON_QGOR_CUSP)
-    )
+    return math.lcm(*[p.local_index or 1 for p in basket.profiles])
 
 
 @dataclass(frozen=True)

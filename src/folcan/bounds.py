@@ -14,10 +14,15 @@ deduplicated family of Hilbert functions with witnessing baskets. Each
 basket is checked at chi = 0: chi is an integer, so it changes neither
 integrality nor the correction table, and the accepted functions are then
 expanded over the requested chi values. A cusp adds the integer -1 at every
-m >= 1, so integrality depends only on a basket's finite-index part; once a
-finite part fails, every later basket with that part is skipped unchecked.
-A query spanning more than :data:`MAX_BASKETS` baskets is refused before
-any is generated. The search is serial; the ``worker_count`` argument (CLI
+m >= 1, so the index and the integrality of a basket depend only on its
+finite-index part. Each part is decided on its first basket: it is out if
+its index does not match or if P(1) is not an integer, a screen summed from
+per-letter integers over one common denominator that builds no numerics.
+A part that passes gets the full integrality check on each of its baskets
+until one fails, and every later basket with that part is skipped. A query
+whose index s is above ``riemann_roch.MAX_PERIOD`` (with cap >= 1) or that
+spans more than :data:`MAX_BASKETS` baskets is refused before any basket is
+generated. The search is serial; the ``worker_count`` argument (CLI
 ``--workers``) is validated and otherwise has no effect.
 """
 
@@ -36,6 +41,7 @@ from .baskets import (
     cusp,
     dihedral_half,
     dihedral_zero,
+    local_term,
     q_index,
     terminal_cyclic,
 )
@@ -44,7 +50,9 @@ from .exact_core import as_rational, check_int
 from .riemann_roch import (
     HilbertFunction,
     ModelNumerics,
+    check_period,
     integrality_check,
+    quadratic_numerators,
     to_hilbert_function,
 )
 
@@ -171,6 +179,20 @@ def _basket_sort_key(basket: Basket):
     return tuple(p.sort_key for p in basket)
 
 
+def _first_value_numerators(query: EnumerationQuery) -> tuple[dict, int, int]:
+    """``(letter_value, base, D)`` with D P(1) = base + sum of letter_value + D (chi - cusps).
+
+    D = lcm(2 den k1, 2 den k2, the alphabet's m = 1 term denominators);
+    ``letter_value`` maps each letter's ``sort_key`` to D times its term at
+    m = 1, and base = D (k1 - k2) / 2. P(1) is an integer exactly when D
+    divides base plus the values of a basket's finite-index letters.
+    """
+    terms = {p.sort_key: local_term(p, 1) for p in basket_alphabet(query.s)}
+    den, a, b = quadratic_numerators(query.k1, query.k2, *(t.denominator for t in terms.values()))
+    letter_value = {key: t.numerator * (den // t.denominator) for key, t in terms.items()}
+    return letter_value, a - b, den
+
+
 # the most baskets one enumerate_hilbert query may span (about 15 s of
 # scanning); larger queries are refused before any basket is generated
 MAX_BASKETS = 1_000_000
@@ -179,12 +201,20 @@ MAX_BASKETS = 1_000_000
 def enumerate_hilbert(query: EnumerationQuery, worker_count: int = 1) -> tuple[EnumeratedFunction, ...]:
     """Deduplicated Hilbert functions for the query, canonical order.
 
-    The query spans C(|alphabet| + cap, cap) * (max_cusps + 1) baskets; above
+    With cap >= 1, an index s above ``riemann_roch.MAX_PERIOD`` raises
+    :class:`InvalidInput` with the period s and the limit in its context
+    (``terminal_cyclic(s)`` is a letter). The query spans
+    C(|alphabet| + cap, cap) * (max_cusps + 1) baskets; above
     :data:`MAX_BASKETS` it raises :class:`InvalidInput` with that count and
-    the limit in its context, before scanning. Each basket of matching
-    index whose finite-index part has not failed before gets one
-    integrality check and, if accepted, one compression, both at chi = 0.
-    Functions merge on their canonical form; a merged function is
+    the limit in its context. Both are refused before scanning.
+
+    A finite-index part (a basket without its cusps) is decided once, on
+    its first basket: it is out when its ``q_index`` does not match s, or
+    when P(1) is not an integer, tested in integers from each letter's term
+    at m = 1 (:func:`_first_value_numerators`) without a ``ModelNumerics``.
+    Each basket of a part that is still in gets one integrality check and,
+    if accepted, one compression, both at chi = 0; a failed check puts the
+    part out. Functions merge on their canonical form; a merged function is
     extrapolated if any witness is. The result is the chi = 0 family
     shifted to each chi in ``chi_set``. ``worker_count`` must be a positive
     integer and does not change the work or the result.
@@ -193,6 +223,8 @@ def enumerate_hilbert(query: EnumerationQuery, worker_count: int = 1) -> tuple[E
     if query.k1 <= 0:
         raise NonPositiveVolume(f"leading self-intersection must be positive, got {query.k1}")
     cap, max_cusps = query.basket_cap, query.effective_max_cusps
+    if cap >= 1:
+        check_period(query.s)  # terminal_cyclic(s) is a letter of index s
     count = math.comb(len(basket_alphabet(query.s)) + cap, cap) * (max_cusps + 1)
     if count > MAX_BASKETS:
         raise InvalidInput(
@@ -201,19 +233,27 @@ def enumerate_hilbert(query: EnumerationQuery, worker_count: int = 1) -> tuple[E
             limit=MAX_BASKETS,
         )
     found: dict[tuple, list] = {}
-    rejected: set[tuple] = set()  # finite-index parts whose check failed
+    # whether each finite-index part (the sort_keys of its profiles with a
+    # local index) may still be accepted; a cusp adds the integer -1 at every
+    # m >= 1, so the part alone decides the index and integrality of every
+    # cusp variant, and it is decided on its first basket
+    open_parts: dict[tuple, bool] = {}
+    letter_value, base, den = _first_value_numerators(query)
     for basket in enumerate_baskets(query.s, cap, max_cusps):
-        idx = q_index(basket)
-        if idx != query.s and not (query.q_index_divides and query.s % idx == 0):
-            continue
-        # a cusp adds the integer -1 at every m >= 1, so only the finite part
-        # decides integrality; sort_key identifies a profile
-        finite = tuple(p.sort_key for p in basket if p.local_index is not None)
-        if finite in rejected:
+        finite = tuple(p.sort_key for p in basket.profiles if p.local_index is not None)
+        is_open = open_parts.get(finite)
+        if is_open is None:
+            idx = q_index(basket)
+            is_open = open_parts[finite] = (
+                (idx == query.s or (query.q_index_divides and query.s % idx == 0))
+                # den P(1) = base + the letters' values + den (chi - cusps)
+                and (base + sum(letter_value[k] for k in finite)) % den == 0
+            )
+        if not is_open:
             continue
         numerics = ModelNumerics(k1=query.k1, k2=query.k2, chi=0, basket=basket)
         if not integrality_check(numerics):
-            rejected.add(finite)
+            open_parts[finite] = False
             continue
         func = to_hilbert_function(numerics).canonicalized()
         entry = found.setdefault(func.canonical_form(), [func, []])

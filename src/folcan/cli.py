@@ -12,8 +12,12 @@ Exit status 0 on success; 1 for I/O and document-shape problems (a
 non-canonical rational in a document among them); 2 for mathematically
 invalid input, for oversized requests (``hilbert --mmax`` above
 :data:`MAX_MMAX`, an enumeration above ``bounds.MAX_BASKETS``, a basket
-period above ``riemann_roch.MAX_PERIOD``) and for command-line syntax
-errors, a rational flag not in the canonical ``p/q`` form among them.
+period above ``riemann_roch.MAX_PERIOD``, ``enumerate --s`` above it with
+``--cap`` at least 1) and for command-line syntax errors. Among those: a
+rational flag not in the canonical ``p/q`` form, and an integer flag, a
+``--chi`` entry or a ``--sweep`` endpoint not written as ``str`` writes
+the integer (ASCII digits with an optional ``-``; no ``+``, padding,
+leading zeros or ``_``).
 Errors go to stderr as a JSON object
 ``{"error": {"code", "message", "context"}}``; argparse's usage and error
 text go to stderr too, and ``--help`` to stdout, both the streams given to
@@ -71,11 +75,19 @@ def _rational_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _int_set_flag(text: str) -> frozenset[int]:
+def _int_flag(text: str) -> int:
+    """An integer written as ``str`` writes it: ASCII digits, an optional ``-``, no padding."""
     try:
-        return frozenset(int(part) for part in text.split(",") if part != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise argparse.ArgumentTypeError(f"not a canonical integer: {text!r}")
+    return value
+
+
+def _int_set_flag(text: str) -> frozenset[int]:
+    return frozenset(_int_flag(part) for part in text.split(",") if part != "")
 
 
 def _sweep_flag(text: str) -> tuple[str, int, int]:
@@ -83,10 +95,7 @@ def _sweep_flag(text: str) -> tuple[str, int, int]:
     start, dots, stop = span.partition("..")
     if not sep or not dots or not name:
         raise argparse.ArgumentTypeError(f"sweep must look like param=a..b, got {text!r}")
-    try:
-        lo, hi = int(start), int(stop)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"sweep endpoints must be integers: {text!r}") from exc
+    lo, hi = _int_flag(start), _int_flag(stop)
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty sweep range: {text!r}")
     return (name, lo, hi)
@@ -118,35 +127,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     hilbert = add_command("hilbert", help="Euler characteristic table from a numerics file")
     hilbert.add_argument("--numerics", required=True, metavar="FILE")
-    hilbert.add_argument("--mmax", type=int, required=True)
+    hilbert.add_argument("--mmax", type=_int_flag, required=True)
 
     enum = add_command("enumerate", help="all Hilbert functions for fixed (k1, k2, s)")
     enum.add_argument("--k1", type=_rational_flag, required=True)
     enum.add_argument("--k2", type=_rational_flag, required=True)
-    enum.add_argument("--s", type=int, required=True)
+    enum.add_argument("--s", type=_int_flag, required=True)
     enum.add_argument("--chi", type=_int_set_flag, required=True, metavar="C1,C2,...")
-    enum.add_argument("--cap", type=int, required=True)
-    enum.add_argument("--max-cusps", type=int, default=0)
+    enum.add_argument("--cap", type=_int_flag, required=True)
+    enum.add_argument("--max-cusps", type=_int_flag, default=0)
     enum.add_argument("--no-cusps", action="store_true")
     enum.add_argument("--q-index-divides", action="store_true")
-    enum.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect")
+    enum.add_argument("--workers", type=_int_flag, default=1, help="accepted for compatibility; no effect")
 
     bounds = add_command("bounds", help="window for the ambient canonical square")
     bounds.add_argument("--k1", type=_rational_flag, required=True)
     bounds.add_argument("--k2", type=_rational_flag, required=True)
-    bounds.add_argument("--s", type=int, required=True)
+    bounds.add_argument("--s", type=_int_flag, required=True)
     bounds.add_argument("--kx2", type=_rational_flag, default=None)
 
     example = add_command("example", help="built-in double-cover families")
     family = example.add_subparsers(dest="family", required=True)
     ruled = family.add_parser("ruled", parents=[common])
-    ruled.add_argument("--k", type=int, required=True)
-    ruled.add_argument("--g", type=int, required=True)
-    ruled.add_argument("--q", type=int, required=True)
+    ruled.add_argument("--k", type=_int_flag, required=True)
+    ruled.add_argument("--g", type=_int_flag, required=True)
+    ruled.add_argument("--q", type=_int_flag, required=True)
     ruled.add_argument("--sweep", type=_sweep_flag, default=None, metavar="PARAM=A..B")
     abelian = family.add_parser("abelian", parents=[common])
-    abelian.add_argument("--d", type=int, required=True)
-    abelian.add_argument("--n", type=int, required=True)
+    abelian.add_argument("--d", type=_int_flag, required=True)
+    abelian.add_argument("--n", type=_int_flag, required=True)
     abelian.add_argument("--sweep", type=_sweep_flag, default=None, metavar="PARAM=A..B")
     return parser
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .baskets import Basket, basket_term, basket_uses_extrapolation, q_index
 from .errors import InvalidInput, NotIntegral
-from .exact_core import as_rational, check_int
+from .exact_core import as_rational, check_int, format_rational
 
 _WARN_GENERAL_TYPE = "general_type flag set but k1 <= 0"
 
@@ -89,21 +89,25 @@ def window_length(period: int, k1: Fraction, k2: Fraction) -> int:
 MAX_PERIOD = 100_000
 
 
-def integrality_window(num: ModelNumerics) -> int:
-    """Length L of the window [0, L) whose integrality decides all of it.
-
-    This is :func:`window_length` with T the basket period. A period above
-    :data:`MAX_PERIOD` raises :class:`InvalidInput` with the period and the
-    limit in its context, before any table is built.
-    """
-    period = q_index(num.basket)
+def check_period(period: int) -> int:
+    """``period``, or :class:`InvalidInput` with it and the limit in its context above :data:`MAX_PERIOD`."""
     if period > MAX_PERIOD:
         raise InvalidInput(
             f"basket period {period} is above the limit of {MAX_PERIOD}",
             period=period,
             limit=MAX_PERIOD,
         )
-    return window_length(period, num.k1, num.k2)
+    return period
+
+
+def integrality_window(num: ModelNumerics) -> int:
+    """Length L of the window [0, L) whose integrality decides all of it.
+
+    This is :func:`window_length` with T the basket period, which
+    :func:`check_period` refuses above :data:`MAX_PERIOD` before any table
+    is built.
+    """
+    return window_length(check_period(q_index(num.basket)), num.k1, num.k2)
 
 
 def quadratic_numerators(k1: Fraction, k2: Fraction, *denominators: int) -> tuple[int, int, int]:
@@ -120,7 +124,7 @@ def quadratic_numerators(k1: Fraction, k2: Fraction, *denominators: int) -> tupl
 
 def _scaled_terms(num: ModelNumerics) -> tuple[int, int, int, list]:
     # quadratic_numerators over the profile denominators; term tables as (D // d, t, len(t))
-    tables = [p.term_numerators for p in num.basket]
+    tables = [p.term_numerators for p in num.basket.profiles]
     den, a, b = quadratic_numerators(num.k1, num.k2, *(d for d, _ in tables))
     return den, a, b, [(den // d, t, len(t)) for d, t in tables]
 
@@ -187,14 +191,12 @@ class HilbertFunction:
         return Fraction((a * m - b) * m + shifted[m % self.period], den)
 
     def canonical_form(self) -> tuple:
-        # contract the correction tuple to its minimal period
-        c = self.correction
-        minimal = next(
-            d
-            for d in range(1, len(c) + 1)
-            if len(c) % d == 0 and all(c[i] == c[i % d] for i in range(len(c)))
-        )
-        return (self.k1, self.k2, self.chi, minimal, c[:minimal])
+        # contract the correction tuple to its minimal period, found on the
+        # integers c[r] = D (chi + correction[r]), one-to-one with the corrections
+        c = self._integer_form[3]
+        t = self.period
+        minimal = next(d for d in range(1, t + 1) if t % d == 0 and c[d:] == c[:-d])
+        return (self.k1, self.k2, self.chi, minimal, self.correction[:minimal])
 
     def __eq__(self, other):
         if not isinstance(other, HilbertFunction):
@@ -213,16 +215,24 @@ def to_hilbert_function(num: ModelNumerics) -> HilbertFunction:
     """Compress the table of ``num`` into one period of corrections.
 
     Requires every value to be an integer; raises :class:`NotIntegral`
-    otherwise. The stored period T is the basket index; cusp contributions
-    are constant on m >= 1 and fold into every correction entry (residue 0
-    reads the term at m = T, not m = 0). The entry at residue r is one
-    integer sum of the profiles' scaled ``term_numerators``
-    (:func:`_scaled_terms`), which equals ``basket_term(num.basket, r or T)``.
+    otherwise, with the window, the first m >= 1 whose value is not an
+    integer and that value in its context. The stored period T is the
+    basket index; cusp contributions are constant on m >= 1 and fold into
+    every correction entry (residue 0 reads the term at m = T, not m = 0).
+    The entry at residue r is one integer sum of the profiles' scaled
+    ``term_numerators`` (:func:`_scaled_terms`), which equals
+    ``basket_term(num.basket, r or T)``.
     """
     if not integrality_check(num):
+        window = integrality_window(num)
+        m, value = next(
+            (m, v) for m in range(1, window) if (v := hilbert_value(num, m)).denominator != 1
+        )
         raise NotIntegral(
-            "table has non-integer values",
-            window=integrality_window(num),
+            f"table has non-integer values, first P({m}) = {format_rational(value)}",
+            window=window,
+            m=m,
+            value=format_rational(value),
         )
     period = q_index(num.basket)
     den, _, _, terms = _scaled_terms(num)

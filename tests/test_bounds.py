@@ -270,7 +270,8 @@ def test_enumerate_hilbert_emitted_invariants():
 
 def test_each_rejected_finite_part_is_checked_once(monkeypatch):
     # a cusp adds the integer -1 at every m >= 1, so a basket is rejected
-    # exactly when its finite-index part is; that part is checked once
+    # exactly when its finite-index part is; a part whose P(1) is not an
+    # integer is rejected unchecked, any other is checked once
     import folcan.bounds
 
     query = EnumerationQuery(
@@ -290,17 +291,21 @@ def test_each_rejected_finite_part_is_checked_once(monkeypatch):
     def finite(basket):
         return tuple(p for p in basket if p.kind is not SingularityKind.NON_QGOR_CUSP)
 
-    from folcan.riemann_roch import ModelNumerics
+    from folcan.riemann_roch import ModelNumerics, hilbert_value
+
+    def numerics(b):
+        return ModelNumerics(k1=query.k1, k2=query.k2, chi=0, basket=b)
 
     matching = [b for b in enumerate_baskets(6, 3, 2) if q_index(b) == 6]
-    failing = [b for b in matching if not original(ModelNumerics(k1=query.k1, k2=query.k2, chi=0, basket=b))]
+    failing = [b for b in matching if not original(numerics(b))]
     rejected_parts = {finite(b) for b in failing}
+    checked_parts = {finite(b) for b in failing if hilbert_value(numerics(b), 1).denominator == 1}
     witnesses = sum(len(e.witnesses) for e in result if e.function.chi == 0)
     assert witnesses and len(failing) > len(rejected_parts)  # the query exercises the skip
-    assert len(calls) == len(rejected_parts) + witnesses
+    assert len(calls) == len(checked_parts) + witnesses
     assert sum(verdict for _, verdict in calls) == witnesses
     rejected_calls = [finite(b) for b, verdict in calls if not verdict]
-    assert len(rejected_calls) == len(set(rejected_calls)) and set(rejected_calls) == rejected_parts
+    assert len(rejected_calls) == len(set(rejected_calls)) and set(rejected_calls) == checked_parts
 
 
 def test_basket_count_limit(monkeypatch):

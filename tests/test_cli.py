@@ -396,3 +396,48 @@ def test_non_canonical_rationals_are_refused(tmp_path):
     status, out, err = invoke(["hilbert", "--numerics", str(path), "--mmax", "1"])
     assert status == 1 and out == ""
     assert json.loads(err)["error"]["code"] == "document_error"
+
+
+# each integer flag, --chi entry and --sweep endpoint, with a command line
+# that exits 0 when "{}" is replaced by the valid value given with it
+INTEGER_FLAGS = [
+    (["hilbert", "--numerics", "NUMERICS", "--mmax", "{}"], "3"),
+    (["enumerate", "--k1", "1", "--k2", "0", "--s", "{}", "--chi", "0", "--cap", "1"], "2"),
+    (["enumerate", "--k1", "1", "--k2", "0", "--s", "2", "--chi", "0", "--cap", "{}"], "1"),
+    (["enumerate", "--k1", "1", "--k2", "0", "--s", "2", "--chi", "0", "--cap", "1", "--max-cusps", "{}"], "1"),
+    (["enumerate", "--k1", "1", "--k2", "0", "--s", "2", "--chi", "0", "--cap", "1", "--workers", "{}"], "2"),
+    (["enumerate", "--k1", "1", "--k2", "0", "--s", "2", "--chi", "{}", "--cap", "1"], "-1"),
+    (["enumerate", "--k1", "1", "--k2", "0", "--s", "2", "--chi", "0,{}", "--cap", "1"], "3"),
+    (["bounds", "--k1", "1", "--k2", "0", "--s", "{}"], "3"),
+    (["example", "ruled", "--k", "{}", "--g", "2", "--q", "0"], "2"),
+    (["example", "ruled", "--k", "2", "--g", "{}", "--q", "0"], "3"),
+    (["example", "ruled", "--k", "2", "--g", "2", "--q", "{}"], "1"),
+    (["example", "abelian", "--d", "{}", "--n", "2"], "3"),
+    (["example", "abelian", "--d", "3", "--n", "{}"], "2"),
+    (["example", "ruled", "--k", "2", "--g", "2", "--q", "0", "--sweep", "q={}..2"], "0"),
+    (["example", "ruled", "--k", "2", "--g", "2", "--q", "0", "--sweep", "q=0..{}"], "2"),
+]
+NON_CANONICAL_INTEGERS = ["٣", " 1_0 ", "1_0", "+7", "007", "-0", "", " 3", "3 ", "1.0", "0x1", "²"]
+
+
+@pytest.mark.parametrize("template,valid", INTEGER_FLAGS, ids=[" ".join(t) for t, _ in INTEGER_FLAGS])
+def test_integer_flags_are_strict(template, valid, numerics_file):
+    def argv(value):
+        return [numerics_file if arg == "NUMERICS" else arg.replace("{}", value) for arg in template]
+
+    status, out, err = invoke(argv(valid))
+    assert status == 0 and err == ""
+    for text in NON_CANONICAL_INTEGERS:
+        if text == "" and "--chi" in template:
+            continue  # an empty --chi entry is skipped: "0," is the list [0]
+        status, out, err = invoke(argv(text))
+        assert status == 2 and out == "", text
+        assert "not a canonical integer" in err, text
+
+
+def test_negative_integer_flags_reach_their_checks(numerics_file):
+    status, out, err = invoke(["hilbert", "--numerics", numerics_file, "--mmax=-3"])
+    assert status == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "invalid_input"
+    status, _, err = invoke(["bounds", "--k1", "1", "--k2", "0", "--s=-3"])
+    assert status == 2 and json.loads(err)["error"]["code"] == "invalid_input"

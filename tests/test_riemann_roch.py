@@ -147,6 +147,18 @@ def test_to_hilbert_function_rejects_non_integral():
         to_hilbert_function(ModelNumerics(k1=F(1), k2=F(0), chi=1, basket=Basket.of(terminal_cyclic(2))))
 
 
+def test_not_integral_names_its_first_witness():
+    with pytest.raises(NotIntegral) as info:
+        to_hilbert_function(ModelNumerics(k1=F(1), k2=F(0), chi=1, basket=Basket.of(terminal_cyclic(2))))
+    assert info.value.context == {"window": 2, "m": 1, "value": "5/4"}
+    # P(1) = -1/2 - 1/2 is an integer here; the first failing multiple is m = 2
+    num = ModelNumerics(k1=F(1, 2), k2=F(1, 2), chi=0, basket=Basket.of(dihedral_half(), dihedral_half()))
+    with pytest.raises(NotIntegral) as info:
+        to_hilbert_function(num)
+    assert info.value.context == {"window": 4, "m": 2, "value": "1/2"}
+    assert hilbert_value(num, 1) == -1
+
+
 def test_to_hilbert_function_extrapolated_flag():
     # an index-5 point brings residues 2, 3 into play
     num = ModelNumerics(k1=F(2, 5), k2=F(0), chi=1, basket=Basket.of(terminal_cyclic(5), terminal_cyclic(5)))
