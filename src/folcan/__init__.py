@@ -64,6 +64,7 @@ from .exact_core import (
 from .riemann_roch import (
     HilbertFunction,
     ModelNumerics,
+    hilbert_table,
     hilbert_value,
     integrality_check,
     integrality_window,

@@ -11,6 +11,12 @@ an integer), and compresses the whole table into a :class:`HilbertFunction`:
 the quadratic coefficients plus one period of correction values. That
 compressed form carries the equality notion used for deduplication, where
 distinct baskets realizing the same table compare equal.
+
+The fast paths read one integer form, D (P(m) - chi) = (a m - b) m +
+c[m mod T] for m >= 1 (T the period, c excludes chi): the check and its
+``NotIntegral`` witness scan it, :func:`hilbert_table` divides it into
+corrections and ``HilbertFunction.value`` reads it back. :func:`hilbert_value`
+and the ``baskets`` terms are the ``Fraction`` definitions it is tested against.
 """
 
 from __future__ import annotations
@@ -65,6 +71,16 @@ class ModelNumerics:
         """
         s = q_index(self.basket)
         return (self.k1 * s * s).denominator == 1 and (self.k2 * s).denominator == 1
+
+    @functools.cached_property
+    def _integer_table(self) -> tuple[int, int, int, tuple[int, ...]]:
+        # the module's integer form from the term tables, after the period limit;
+        # kept, so a check, its repeat and hilbert_table on one numerics build it once
+        period = check_period(q_index(self.basket))
+        tables = [p.term_numerators for p in self.basket.profiles]
+        den, a, b = quadratic_numerators(self.k1, self.k2, *(d for d, _ in tables))
+        rows = ([den // d * x for x in t] * (period // len(t)) for d, t in tables)
+        return den, a, b, tuple(map(sum, zip([0] * period, *rows)))
 
 
 def hilbert_value(num: ModelNumerics, m: int) -> Fraction:
@@ -122,32 +138,25 @@ def quadratic_numerators(k1: Fraction, k2: Fraction, *denominators: int) -> tupl
     return den, a, b
 
 
-def _scaled_terms(num: ModelNumerics) -> tuple[int, int, int, list]:
-    # quadratic_numerators over the profile denominators; term tables as (D // d, t, len(t))
-    tables = [p.term_numerators for p in num.basket.profiles]
-    den, a, b = quadratic_numerators(num.k1, num.k2, *(d for d, _ in tables))
-    return den, a, b, [(den // d, t, len(t)) for d, t in tables]
+def _first_non_integer(num: ModelNumerics) -> Optional[tuple[int, Fraction]]:
+    # the first m in [1, L) whose P(m) is not an integer, and P(m); None if none
+    window = integrality_window(num)
+    den, a, b, c = num._integer_table
+    period = len(c)
+    for m in range(1, window):
+        if (total := (a * m - b) * m + c[m % period]) % den:
+            return m, num.chi + Fraction(total, den)
+    return None
 
 
 def integrality_check(num: ModelNumerics) -> bool:
     """Whether every value P(m), m >= 0, is an integer; decided in integers.
 
-    The verdict is that of ``hilbert_value(num, m).denominator == 1`` over
-    the window of :func:`integrality_window`, taken before any term table is
-    built. P(0) = chi is an integer. For m >= 1, D * P(m) is the integer
-    N(m) = (a m - b) m + D chi + sum of the profiles' scaled term numerators
-    (:func:`_scaled_terms`); P(m) is an integer exactly when D divides N(m),
-    and D chi drops out of that test.
+    The verdict of ``hilbert_value(num, m).denominator == 1`` over the window
+    of :func:`integrality_window` (taken before any term table is built): D
+    divides (a m - b) m + c[m mod T] of the module's integer form at each m.
     """
-    window = integrality_window(num)
-    den, a, b, terms = _scaled_terms(num)
-    for m in range(1, window):
-        total = (a * m - b) * m
-        for scale, t, period in terms:
-            total += scale * t[m % period]
-        if total % den:
-            return False
-    return True
+    return _first_non_integer(num) is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,20 +188,20 @@ class HilbertFunction:
 
     @functools.cached_property
     def _integer_form(self) -> tuple[int, int, int, tuple[int, ...]]:
-        # (D, a, b, c): D value(m) = (a m - b) m + c[m mod T] for m >= 1, c[r] = D (chi + correction[r])
+        # the module's integer form read off the corrections: c[r] = D correction[r]
         den, a, b = quadratic_numerators(self.k1, self.k2, *(x.denominator for x in self.correction))
-        return den, a, b, tuple(den * self.chi + x.numerator * (den // x.denominator) for x in self.correction)
+        return den, a, b, tuple(x.numerator * (den // x.denominator) for x in self.correction)
 
     def value(self, m: int) -> Fraction:
         check_int(m, "multiple")
         if m == 0:
             return Fraction(self.chi)
-        den, a, b, shifted = self._integer_form
-        return Fraction((a * m - b) * m + shifted[m % self.period], den)
+        den, a, b, c = self._integer_form
+        return Fraction((a * m - b) * m + c[m % self.period] + den * self.chi, den)
 
     def canonical_form(self) -> tuple:
         # contract the correction tuple to its minimal period, found on the
-        # integers c[r] = D (chi + correction[r]), one-to-one with the corrections
+        # integers c[r] = D correction[r], one-to-one with the corrections
         c = self._integer_form[3]
         t = self.period
         minimal = next(d for d in range(1, t + 1) if t % d == 0 and c[d:] == c[:-d])
@@ -211,46 +220,36 @@ class HilbertFunction:
         return HilbertFunction(k1, k2, chi, period, correction, extrapolated=self.extrapolated)
 
 
-def to_hilbert_function(num: ModelNumerics) -> HilbertFunction:
-    """Compress the table of ``num`` into one period of corrections.
+def hilbert_table(num: ModelNumerics) -> HilbertFunction:
+    """The table of ``num`` as one period of corrections c[r] / D, integral or not.
 
-    Requires every value to be an integer; raises :class:`NotIntegral`
-    otherwise, with the window, the first m >= 1 whose value is not an
-    integer and that value in its context. The stored period T is the
-    basket index; cusp contributions are constant on m >= 1 and fold into
-    every correction entry (residue 0 reads the term at m = T, not m = 0).
-    The entry at residue r is one integer sum of the profiles' scaled
-    ``term_numerators`` (:func:`_scaled_terms`), which equals
-    ``basket_term(num.basket, r or T)``.
+    The period T is the basket index, refused above :data:`MAX_PERIOD`
+    before any term table is built. Cusps are constant on m >= 1 and fold
+    into every entry: residue r holds ``basket_term(num.basket, r or T)``.
     """
-    if not integrality_check(num):
-        window = integrality_window(num)
-        m, value = next(
-            (m, v) for m in range(1, window) if (v := hilbert_value(num, m)).denominator != 1
-        )
-        raise NotIntegral(
-            f"table has non-integer values, first P({m}) = {format_rational(value)}",
-            window=window,
-            m=m,
-            value=format_rational(value),
-        )
-    period = q_index(num.basket)
-    den, _, _, terms = _scaled_terms(num)
-    correction = tuple(
-        Fraction(sum(scale * t[r % length] for scale, t, length in terms), den)
-        for r in range(period)
-    )
+    den, _, _, c = num._integer_table
     # every index n divides T, and residue 2 lies outside {0, 1, n - 1} exactly
     # when some residue does (n >= 4), so m = 2 decides the flag for m in [1, T]
     flagged = basket_uses_extrapolation(num.basket, 2)
-    return HilbertFunction(
-        k1=num.k1,
-        k2=num.k2,
-        chi=num.chi,
-        period=period,
-        correction=correction,
-        extrapolated=flagged,
-    )
+    correction = tuple(Fraction(x, den) for x in c)
+    return HilbertFunction(num.k1, num.k2, num.chi, len(c), correction, extrapolated=flagged)
+
+
+def to_hilbert_function(num: ModelNumerics) -> HilbertFunction:
+    """:func:`integrality_check`, then :func:`hilbert_table`.
+
+    A failed check raises :class:`NotIntegral` with the window, and the first
+    m >= 1 whose value is not an integer and that value, from the same scan.
+    """
+    if not integrality_check(num):
+        m, value = _first_non_integer(num)
+        raise NotIntegral(
+            f"table has non-integer values, first P({m}) = {format_rational(value)}",
+            window=integrality_window(num),
+            m=m,
+            value=format_rational(value),
+        )
+    return hilbert_table(num)
 
 
 def table_second_difference(h: HilbertFunction, m: int, step: int) -> Fraction:

@@ -375,6 +375,7 @@ def test_oversized_period_returns_at_once(tmp_path, monkeypatch):
     path.write_text(json.dumps(doc))
     for argv, period in (
         (["hilbert", "--numerics", str(path), "--mmax", "3"], 10**6),
+        (["--format", "csv", "hilbert", "--numerics", str(path), "--mmax", "3"], 10**6),
         (["enumerate", "--k1", "1", "--k2", "0", "--s", "1000003", "--chi", "0", "--cap", "1"], 1000003),
     ):
         status, out, err = invoke(argv)
@@ -382,8 +383,8 @@ def test_oversized_period_returns_at_once(tmp_path, monkeypatch):
         error = json.loads(err)["error"]
         assert error["code"] == "invalid_input"
         assert error["context"] == {"period": period, "limit": 100_000}
-    # only the four table rows of hilbert were evaluated, no period table
-    assert len(calls) <= 4
+    # both formats refuse the period before any row or term table is evaluated
+    assert len(calls) == 0
 
 
 def test_non_canonical_rationals_are_refused(tmp_path):
@@ -428,11 +429,16 @@ def test_integer_flags_are_strict(template, valid, numerics_file):
     status, out, err = invoke(argv(valid))
     assert status == 0 and err == ""
     for text in NON_CANONICAL_INTEGERS:
-        if text == "" and "--chi" in template:
-            continue  # an empty --chi entry is skipped: "0," is the list [0]
         status, out, err = invoke(argv(text))
         assert status == 2 and out == "", text
         assert "not a canonical integer" in err, text
+
+
+@pytest.mark.parametrize("chi", ["", ",", "0,", ",0", "0,,1"])
+def test_empty_chi_entries_are_usage_errors(chi):
+    status, out, err = invoke(["enumerate", "--k1", "1", "--k2", "0", "--s", "2", "--chi", chi, "--cap", "1"])
+    assert status == 2 and out == ""
+    assert "not a canonical integer: ''" in err
 
 
 def test_negative_integer_flags_reach_their_checks(numerics_file):

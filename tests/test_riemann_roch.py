@@ -22,6 +22,7 @@ from folcan.exact_core import format_rational
 from folcan.riemann_roch import (
     HilbertFunction,
     ModelNumerics,
+    hilbert_table,
     hilbert_value,
     integrality_check,
     integrality_window,
@@ -157,6 +158,16 @@ def test_not_integral_names_its_first_witness():
         to_hilbert_function(num)
     assert info.value.context == {"window": 4, "m": 2, "value": "1/2"}
     assert hilbert_value(num, 1) == -1
+
+
+def test_hilbert_table_refuses_an_oversized_period(monkeypatch):
+    monkeypatch.setattr(folcan.riemann_roch, "MAX_PERIOD", 12)
+    assert hilbert_table(ModelNumerics(k1=F(1), k2=F(0), chi=0, basket=Basket.of(terminal_cyclic(12)))).period == 12
+    refused = ModelNumerics(k1=F(1, 2), k2=F(0), chi=0, basket=Basket.of(terminal_cyclic(13)))
+    with pytest.raises(InvalidInput) as info:
+        hilbert_table(refused)
+    assert info.value.context == {"period": 13, "limit": 12}
+    assert "term_numerators" not in vars(refused.basket.profiles[0])
 
 
 def test_to_hilbert_function_extrapolated_flag():
@@ -319,6 +330,29 @@ def test_integer_correction_matches_basket_term():
         seen["cusp"] += any(p.kind is SingularityKind.NON_QGOR_CUSP for p in num.basket)
         seen["fractional"] += num.k1.denominator > 1 or num.k2.denominator > 1
     assert min(seen.values()) >= 10, seen
+    # hilbert_table on any numerics, integral or not, against the Fraction
+    # definitions; where the check passes it is to_hilbert_function's table
+    seen = dict.fromkeys(("override", "cusp", "dihedral", "fractional", "negative chi"), 0)
+    verdicts = {True: 0, False: 0}
+    for _ in range(800):
+        num = _random_numerics(rng)
+        table = hilbert_table(num)
+        period = q_index(num.basket)
+        assert table.correction == tuple(basket_term(num.basket, r or period) for r in range(period)), num
+        span = range(2 * integrality_window(num) + 1)
+        assert [table.value(m) for m in span] == [hilbert_value(num, m) for m in span], num
+        integral = integrality_check(num)
+        if integral:
+            h = to_hilbert_function(num)
+            assert table == h and table.extrapolated == h.extrapolated, num
+        else:
+            seen["override"] += any(p.override is not None for p in num.basket)
+            seen["cusp"] += any(p.kind is SingularityKind.NON_QGOR_CUSP for p in num.basket)
+            seen["dihedral"] += any(p.kind is SingularityKind.DIHEDRAL_HALF for p in num.basket)
+            seen["fractional"] += num.k1.denominator > 1 or num.k2.denominator > 1
+            seen["negative chi"] += num.chi < 0
+        verdicts[integral] += 1
+    assert min(seen.values()) >= 20 and min(verdicts.values()) >= 100, (seen, verdicts)
 
 
 def test_listed_values_match_hilbert_function_value():
