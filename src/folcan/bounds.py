@@ -22,13 +22,12 @@ A part that passes gets the full integrality check on each of its baskets
 until one fails, and every later basket with that part is skipped. A query
 whose index s is above ``riemann_roch.MAX_PERIOD`` (with cap >= 1) or that
 spans more than :data:`MAX_BASKETS` baskets is refused before any basket is
-generated. The search is serial; the ``worker_count`` argument (CLI
-``--workers``) is validated and otherwise has no effect.
+generated. Accepted functions merge on their canonical form, the chi = 0
+function, and each result is built once per chi from that form.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import numbers
@@ -145,7 +144,6 @@ class EnumerationQuery:
     s: int
     chi_set: frozenset[int]
     basket_cap: int
-    include_cusps: bool = True
     max_cusps: int = 0
     q_index_divides: bool = False
 
@@ -161,10 +159,6 @@ class EnumerationQuery:
             if isinstance(value, numbers.Real) and value < 0:  # a negative size keeps its own message
                 raise InvalidInput(f"{name} must be nonnegative, got {value!r}")
             check_int(value, name)
-
-    @property
-    def effective_max_cusps(self) -> int:
-        return self.max_cusps if self.include_cusps else 0
 
 
 @dataclass(frozen=True)
@@ -198,7 +192,7 @@ def _first_value_numerators(query: EnumerationQuery) -> tuple[dict, int, int]:
 MAX_BASKETS = 1_000_000
 
 
-def enumerate_hilbert(query: EnumerationQuery, worker_count: int = 1) -> tuple[EnumeratedFunction, ...]:
+def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]:
     """Deduplicated Hilbert functions for the query, canonical order.
 
     With cap >= 1, an index s above ``riemann_roch.MAX_PERIOD`` raises
@@ -214,15 +208,13 @@ def enumerate_hilbert(query: EnumerationQuery, worker_count: int = 1) -> tuple[E
     at m = 1 (:func:`_first_value_numerators`) without a ``ModelNumerics``.
     Each basket of a part that is still in gets one integrality check and,
     if accepted, one compression, both at chi = 0; a failed check puts the
-    part out. Functions merge on their canonical form; a merged function is
-    extrapolated if any witness is. The result is the chi = 0 family
-    shifted to each chi in ``chi_set``. ``worker_count`` must be a positive
-    integer and does not change the work or the result.
+    part out. Functions merge on their canonical form (the chi = 0 function
+    at its minimal period); a merged function is extrapolated if any witness
+    is. Each result is built from that form once per chi in ``chi_set``.
     """
-    check_int(worker_count, "worker_count", 1)
     if query.k1 <= 0:
         raise NonPositiveVolume(f"leading self-intersection must be positive, got {query.k1}")
-    cap, max_cusps = query.basket_cap, query.effective_max_cusps
+    cap, max_cusps = query.basket_cap, query.max_cusps
     if cap >= 1:
         check_period(query.s)  # terminal_cyclic(s) is a letter of index s
     count = math.comb(len(basket_alphabet(query.s)) + cap, cap) * (max_cusps + 1)
@@ -255,17 +247,18 @@ def enumerate_hilbert(query: EnumerationQuery, worker_count: int = 1) -> tuple[E
         if not integrality_check(numerics):
             open_parts[finite] = False
             continue
-        func = to_hilbert_function(numerics).canonicalized()
-        entry = found.setdefault(func.canonical_form(), [func, []])
+        func = to_hilbert_function(numerics)
+        entry = found.setdefault(func.canonical_form(), [False, []])
+        entry[0] |= func.extrapolated
         entry[1].append(basket)
-        if func.extrapolated:
-            entry[0] = func
     merged = [
-        (func, tuple(sorted(witnesses, key=_basket_sort_key)))
-        for _, (func, witnesses) in sorted(found.items(), key=lambda item: item[0])
+        (key, flag, tuple(sorted(witnesses, key=_basket_sort_key)))
+        for key, (flag, witnesses) in sorted(found.items())
     ]
     return tuple(
-        EnumeratedFunction(function=dataclasses.replace(func, chi=chi), witnesses=witnesses)
+        EnumeratedFunction(
+            function=HilbertFunction(k1, k2, chi, period, correction, flag), witnesses=witnesses
+        )
         for chi in sorted(query.chi_set)
-        for func, witnesses in merged
+        for (k1, k2, _, period, correction), flag, witnesses in merged
     )

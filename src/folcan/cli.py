@@ -11,7 +11,8 @@ Five subcommands:
 Exit status 0 on success; 1 for I/O and document-shape problems (a
 non-canonical rational in a document among them); 2 for mathematically
 invalid input, for oversized requests (``hilbert --mmax`` above
-:data:`MAX_MMAX`, an enumeration above ``bounds.MAX_BASKETS``, a basket
+:data:`MAX_MMAX`, an ``example --sweep`` of more than :data:`MAX_SWEEP`
+values, an enumeration above ``bounds.MAX_BASKETS``, a basket
 period above ``riemann_roch.MAX_PERIOD`` in either ``hilbert`` format,
 ``enumerate --s`` above it with ``--cap`` at least 1) and for command-line
 syntax errors. Among those: a rational flag not in the canonical ``p/q``
@@ -23,8 +24,8 @@ Errors go to stderr as a JSON object
 text go to stderr too, and ``--help`` to stdout, both the streams given to
 :func:`run`. Output is byte-identical across repeated runs with the same
 inputs. ``enumerate --workers N`` is accepted (N must be a positive
-integer) but has no effect; the search is serial. There is no ``--seed``:
-nothing here is random.
+integer) and ignored; the library takes no worker count. ``--no-cusps``
+means ``--max-cusps 0``. There is no ``--seed``: nothing here is random.
 
 The flat reports (``intersect``, ``bounds`` and a single ``example``) share
 one renderer: a JSON object with sorted keys, or ``quantity,value`` CSV rows
@@ -59,13 +60,17 @@ from .constructions import (
     ruled_double_cover,
 )
 from .errors import DocumentError, FolcanError, InvalidInput
-from .exact_core import format_rational, parse_rational
+from .exact_core import check_int, format_rational, parse_rational
 from .riemann_roch import hilbert_table, integrality_check
 from .surface_model import ResolutionData, mumford_pullback
 
 
 # the largest ``hilbert --mmax``: one row per m (0.7 s at the limit on a 2-core VM)
 MAX_MMAX = 100_000
+
+# the most values one ``example --sweep`` may span: one report per value
+# (3.3 s and 71 MB peak RSS at the limit for a JSON ruled sweep on a 2-core VM)
+MAX_SWEEP = 10_000
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -254,11 +259,12 @@ def _cmd_enumerate(args) -> str:
         s=args.s,
         chi_set=args.chi,
         basket_cap=args.cap,
-        include_cusps=not args.no_cusps,
-        max_cusps=args.max_cusps,
+        # --no-cusps is --max-cusps 0; a negative --max-cusps is still refused
+        max_cusps=min(args.max_cusps, 0) if args.no_cusps else args.max_cusps,
         q_index_divides=args.q_index_divides,
     )
-    found = enumerate_hilbert(query, worker_count=args.workers)
+    check_int(args.workers, "worker_count", 1)  # accepted and otherwise ignored
+    found = enumerate_hilbert(query)
     if args.output_format == "csv":
         rows = [["k1", "k2", "chi", "period", "correction", "extrapolated", "witness_count"]]
         for entry in found:
@@ -284,7 +290,7 @@ def _cmd_enumerate(args) -> str:
             "s": query.s,
             "chi_set": sorted(query.chi_set),
             "basket_cap": query.basket_cap,
-            "max_cusps": query.effective_max_cusps,
+            "max_cusps": query.max_cusps,
             "q_index_divides": query.q_index_divides,
         },
     }
@@ -339,6 +345,13 @@ def _cmd_example(args) -> str:
     allowed = ("k", "g", "q") if args.family == "ruled" else ("d", "n")
     if name not in allowed:
         raise InvalidInput(f"sweep parameter {name!r} not in {allowed}")
+    length = hi - lo + 1
+    if length > MAX_SWEEP:
+        raise InvalidInput(
+            f"the sweep spans {length} values, above the limit of {MAX_SWEEP}",
+            sweep=length,
+            limit=MAX_SWEEP,
+        )
     reports = [(value, _build_example({**vars(args), name: value})) for value in range(lo, hi + 1)]
     if args.output_format == "json":
         return ser.dumps(

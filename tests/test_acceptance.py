@@ -259,8 +259,6 @@ def test_acceptance_6_enumerator_oracle():
         result = enumerate_hilbert(query)
         assert len(result) == 2
         assert _produced(result, _oracle_span(F(1), F(0), 2)) == oracle
-        for workers in (2, 4):
-            assert enumerate_hilbert(query, worker_count=workers) == result
         # several chi values at once, two cusps, both index filters
         functions = 0
         for s in (2, 3, 4, 6):

@@ -143,8 +143,6 @@ def test_query_validation():
         EnumerationQuery(k1=F(1), k2=F(0), s=0, chi_set=frozenset({1}), basket_cap=1)
     with pytest.raises(InvalidInput):
         EnumerationQuery(k1=F(1), k2=F(0), s=1, chi_set=frozenset({1}), basket_cap=-1)
-    q = EnumerationQuery(k1=F(1), k2=F(0), s=1, chi_set=frozenset({1}), basket_cap=1, include_cusps=False, max_cusps=5)
-    assert q.effective_max_cusps == 0
 
 
 def test_query_rejects_non_integer_sizes():
@@ -164,10 +162,6 @@ def test_query_rejects_non_integer_sizes():
     with pytest.raises(InvalidInput) as info:
         kx2_bounds(1, 0, 0)
     assert str(info.value) == "s must be a positive integer, got 0"
-    query = EnumerationQuery(**base)
-    for bad in (0, True, 1.0):
-        with pytest.raises(InvalidInput, match="worker_count must be a positive integer"):
-            enumerate_hilbert(query, worker_count=bad)
 
 
 def test_enumerate_hilbert_reference_query():
@@ -209,15 +203,6 @@ def test_enumerate_hilbert_rejects_nonpositive():
     query = EnumerationQuery(k1=F(0), k2=F(0), s=1, chi_set=frozenset({1}), basket_cap=0)
     with pytest.raises(NonPositiveVolume):
         enumerate_hilbert(query)
-
-
-def test_enumerate_hilbert_worker_independence():
-    query = EnumerationQuery(
-        k1=F(1), k2=F(0), s=2, chi_set=frozenset({0, 1}), basket_cap=3, max_cusps=2
-    )
-    reference = enumerate_hilbert(query, worker_count=1)
-    for workers in (2, 3, 4, 7):
-        assert enumerate_hilbert(query, worker_count=workers) == reference
 
 
 def test_enumerate_hilbert_divisibility_relaxation():

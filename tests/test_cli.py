@@ -179,10 +179,30 @@ def test_enumerate_reference(tmp_path):
 
 
 def test_enumerate_worker_count_bytes(tmp_path):
-    base = ["enumerate", "--k1", "1", "--k2", "0", "--s", "2", "--chi", "0,1", "--cap", "3", "--max-cusps", "2"]
-    reference = invoke(base + ["--workers", "1"])
+    base = ["enumerate", "--k1", "1", "--k2", "0", "--s", "2", "--chi", "0,1", "--cap", "3"]
+    reference = invoke(base + ["--max-cusps", "2", "--workers", "1"])
     for workers in ("2", "4"):
-        assert invoke(base + ["--workers", workers]) == reference
+        assert invoke(base + ["--max-cusps", "2", "--workers", workers]) == reference
+    # --no-cusps is --max-cusps 0, whatever --max-cusps says
+    no_cusps = invoke(base + ["--max-cusps", "0"])
+    assert no_cusps[0] == 0 and json.loads(no_cusps[1])["query"]["max_cusps"] == 0
+    assert invoke(base + ["--no-cusps"]) == no_cusps
+    assert invoke(base + ["--max-cusps", "2", "--no-cusps"]) == no_cusps
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--workers", "0"], "worker_count must be a positive integer, got 0"),
+        (["--no-cusps", "--max-cusps=-1"], "max_cusps must be nonnegative, got -1"),
+    ],
+)
+def test_enumerate_refuses_bad_workers_and_cusps(flags, message):
+    status, out, err = invoke(["enumerate", "--k1", "1", "--k2", "0", "--s", "2", "--chi", "0", "--cap", "1"] + flags)
+    assert status == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_input"
+    assert error["message"] == message
 
 
 def test_enumerate_csv():
@@ -338,6 +358,29 @@ def test_hilbert_mmax_limit(numerics_file, monkeypatch):
     assert error["code"] == "invalid_input"
     assert error["message"] == "--mmax 6 is above the limit of 5"
     assert error["context"] == {"mmax": 6, "limit": 5}
+
+
+def test_example_sweep_limit_returns_at_once(monkeypatch):
+    def never(*args):
+        raise AssertionError("a report was built for a refused sweep")
+
+    assert folcan.cli.MAX_SWEEP == 10_000
+    status, out, _ = invoke(["example", "ruled", "--k", "2", "--g", "2", "--q", "0", "--sweep", "q=5..9"])
+    assert status == 0 and len(json.loads(out)) == 5
+    monkeypatch.setattr(folcan.cli, "ruled_double_cover", never)
+    monkeypatch.setattr(folcan.cli, "abelian_double_cover", never)
+    for argv, length, limit in (
+        (["example", "ruled", "--k", "2", "--g", "2", "--q", "0", "--sweep", "q=0..100000000"], 100000001, 10_000),
+        (["example", "ruled", "--k", "2", "--g", "2", "--q", "0", "--sweep", "q=5..9"], 5, 4),
+        (["--format", "csv", "example", "abelian", "--d", "3", "--n", "2", "--sweep", "d=3..7"], 5, 4),
+    ):
+        monkeypatch.setattr(folcan.cli, "MAX_SWEEP", limit)
+        status, out, err = invoke(argv)
+        assert status == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "invalid_input"
+        assert error["message"] == f"the sweep spans {length} values, above the limit of {limit}"
+        assert error["context"] == {"sweep": length, "limit": limit}
 
 
 def test_enumerate_basket_limit_returns_at_once(monkeypatch):

@@ -26,7 +26,7 @@ def _key(basket):
 def reference(query):
     """(k1, k2, chi, period, correction, extrapolated, witnesses) per function, in output order."""
     groups = {}
-    for basket in enumerate_baskets(query.s, query.basket_cap, query.effective_max_cusps):
+    for basket in enumerate_baskets(query.s, query.basket_cap, query.max_cusps):
         idx = q_index(basket)
         if idx != query.s and not (query.q_index_divides and query.s % idx == 0):
             continue
