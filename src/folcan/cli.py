@@ -6,7 +6,8 @@ Five subcommands:
 * ``hilbert``     Euler characteristic table for a numerics file
 * ``enumerate``   the finite family of Hilbert functions for (k1, k2, s)
 * ``bounds``      the admissible window for the ambient canonical square
-* ``example``     the two built-in double-cover families, with sweeps
+* ``example``     the two built-in double-cover families, with sweeps over
+                  g or q (ruled; its k must be even) or d or n (abelian)
 
 Exit status 0 on success; 1 for I/O and document-shape problems (a
 non-canonical rational in a document among them); 2 for mathematically
@@ -342,7 +343,7 @@ def _cmd_example(args) -> str:
         return _render_flat(_flat_report(_build_example(vars(args))), args.output_format)
 
     name, lo, hi = args.sweep
-    allowed = ("k", "g", "q") if args.family == "ruled" else ("d", "n")
+    allowed = ("g", "q") if args.family == "ruled" else ("d", "n")
     if name not in allowed:
         raise InvalidInput(f"sweep parameter {name!r} not in {allowed}")
     length = hi - lo + 1

@@ -13,10 +13,11 @@ compressed form carries the equality notion used for deduplication, where
 distinct baskets realizing the same table compare equal.
 
 The fast paths read one integer form, D (P(m) - chi) = (a m - b) m +
-c[m mod T] for m >= 1 (T the period, c excludes chi): the check and its
-``NotIntegral`` witness scan it, :func:`hilbert_table` divides it into
-corrections and ``HilbertFunction.value`` reads it back. :func:`hilbert_value`
-and the ``baskets`` terms are the ``Fraction`` definitions it is tested against.
+c[m mod T] for m >= 1 (T the period, c excludes chi), which a
+:class:`HilbertFunction` derives from its corrections. A numerics keeps its
+table (:func:`hilbert_table`); the check, its ``NotIntegral`` witness, ``value``
+and ``canonical_form`` all read that form. :func:`hilbert_value` and the
+``baskets`` terms are the ``Fraction`` definitions it is tested against.
 """
 
 from __future__ import annotations
@@ -73,14 +74,17 @@ class ModelNumerics:
         return (self.k1 * s * s).denominator == 1 and (self.k2 * s).denominator == 1
 
     @functools.cached_property
-    def _integer_table(self) -> tuple[int, int, int, tuple[int, ...]]:
-        # the module's integer form from the term tables, after the period limit;
-        # kept, so a check, its repeat and hilbert_table on one numerics build it once
+    def _table(self) -> HilbertFunction:
+        # hilbert_table's one table, built once, after the period limit
         period = check_period(q_index(self.basket))
         tables = [p.term_numerators for p in self.basket.profiles]
-        den, a, b = quadratic_numerators(self.k1, self.k2, *(d for d, _ in tables))
+        den = math.lcm(*(d for d, _ in tables))
         rows = ([den // d * x for x in t] * (period // len(t)) for d, t in tables)
-        return den, a, b, tuple(map(sum, zip([0] * period, *rows)))
+        correction = tuple(Fraction(x, den) for x in map(sum, zip([0] * period, *rows)))
+        # every index n divides T, and residue 2 lies outside {0, 1, n - 1} exactly
+        # when some residue does (n >= 4), so m = 2 decides the flag for m in [1, T]
+        flagged = basket_uses_extrapolation(self.basket, 2)
+        return HilbertFunction(self.k1, self.k2, self.chi, period, correction, extrapolated=flagged)
 
 
 def hilbert_value(num: ModelNumerics, m: int) -> Fraction:
@@ -119,9 +123,8 @@ def check_period(period: int) -> int:
 def integrality_window(num: ModelNumerics) -> int:
     """Length L of the window [0, L) whose integrality decides all of it.
 
-    This is :func:`window_length` with T the basket period, which
-    :func:`check_period` refuses above :data:`MAX_PERIOD` before any table
-    is built.
+    This is :func:`window_length` with T the basket period, refused by
+    :func:`check_period` above :data:`MAX_PERIOD` before any table is built.
     """
     return window_length(check_period(q_index(num.basket)), num.k1, num.k2)
 
@@ -141,7 +144,7 @@ def quadratic_numerators(k1: Fraction, k2: Fraction, *denominators: int) -> tupl
 def _first_non_integer(num: ModelNumerics) -> Optional[tuple[int, Fraction]]:
     # the first m in [1, L) whose P(m) is not an integer, and P(m); None if none
     window = integrality_window(num)
-    den, a, b, c = num._integer_table
+    den, a, b, c = num._table._integer_form
     period = len(c)
     for m in range(1, window):
         if (total := (a * m - b) * m + c[m % period]) % den:
@@ -154,7 +157,7 @@ def integrality_check(num: ModelNumerics) -> bool:
 
     The verdict of ``hilbert_value(num, m).denominator == 1`` over the window
     of :func:`integrality_window` (taken before any term table is built): D
-    divides (a m - b) m + c[m mod T] of the module's integer form at each m.
+    divides (a m - b) m + c[m mod T] of the table's integer form at each m.
     """
     return _first_non_integer(num) is None
 
@@ -188,7 +191,7 @@ class HilbertFunction:
 
     @functools.cached_property
     def _integer_form(self) -> tuple[int, int, int, tuple[int, ...]]:
-        # the module's integer form read off the corrections: c[r] = D correction[r]
+        # the module's one integer form, from the corrections: c[r] = D correction[r]
         den, a, b = quadratic_numerators(self.k1, self.k2, *(x.denominator for x in self.correction))
         return den, a, b, tuple(x.numerator * (den // x.denominator) for x in self.correction)
 
@@ -221,18 +224,14 @@ class HilbertFunction:
 
 
 def hilbert_table(num: ModelNumerics) -> HilbertFunction:
-    """The table of ``num`` as one period of corrections c[r] / D, integral or not.
+    """The table of ``num`` as one period of corrections, integral or not.
 
-    The period T is the basket index, refused above :data:`MAX_PERIOD`
-    before any term table is built. Cusps are constant on m >= 1 and fold
-    into every entry: residue r holds ``basket_term(num.basket, r or T)``.
+    Built once per numerics: repeated calls return the same object, whose
+    integer form :func:`integrality_check` scans. The period T is the basket
+    index, refused above :data:`MAX_PERIOD` before any term table is built.
+    Cusps fold into every entry: residue r holds ``basket_term(num.basket, r or T)``.
     """
-    den, _, _, c = num._integer_table
-    # every index n divides T, and residue 2 lies outside {0, 1, n - 1} exactly
-    # when some residue does (n >= 4), so m = 2 decides the flag for m in [1, T]
-    flagged = basket_uses_extrapolation(num.basket, 2)
-    correction = tuple(Fraction(x, den) for x in c)
-    return HilbertFunction(num.k1, num.k2, num.chi, len(c), correction, extrapolated=flagged)
+    return num._table
 
 
 def to_hilbert_function(num: ModelNumerics) -> HilbertFunction:
@@ -262,13 +261,13 @@ def second_difference_check(h: HilbertFunction) -> bool:
 
     At step T the periodic corrections cancel residue-by-residue and the
     second difference of the quadratic part is T^2 * k1, so every
-    well-formed table passes; a structurally damaged one (truncated or
-    inconsistent correction storage) fails by unequal values or by failing
-    to evaluate at all.
+    well-formed table passes; a structurally damaged one fails: truncated
+    correction storage by its length, inconsistent storage by unequal values
+    or by failing to evaluate at all.
     """
     t = h.period
     try:
-        return all(
+        return len(h.correction) == t and all(
             table_second_difference(h, m, t) == t * t * h.k1 for m in range(1, 2 * t + 1)
         )
     except (IndexError, TypeError, ZeroDivisionError):

@@ -280,6 +280,12 @@ def test_example_sweep_bad_param():
     status, _, err = invoke(["example", "abelian", "--d", "2", "--n", "0", "--sweep", "q=0..3"])
     assert status == 2
     assert json.loads(err)["error"]["code"] == "invalid_input"
+    # a ruled family's k must be even, so it is not a sweep parameter: refused
+    # before any report is built, even over one value
+    for sweep in ("k=2..4", "k=2..2"):
+        status, out, err = invoke(["example", "ruled", "--k", "2", "--g", "2", "--q", "0", "--sweep", sweep])
+        assert status == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == "sweep parameter 'k' not in ('g', 'q')"
 
 
 def test_example_invalid_input():

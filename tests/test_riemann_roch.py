@@ -170,6 +170,19 @@ def test_hilbert_table_refuses_an_oversized_period(monkeypatch):
     assert "term_numerators" not in vars(refused.basket.profiles[0])
 
 
+def test_hilbert_table_is_built_once():
+    # one table per numerics: the check scans its integer form, and the
+    # compression returns it, integral or not
+    for k1 in (F(1), F(1, 2)):
+        num = ModelNumerics(k1=k1, k2=F(0), chi=1, basket=Basket.of(*T2x2, cusp()))
+        table = hilbert_table(num)
+        assert hilbert_table(num) is table
+        assert integrality_check(num) is (k1 == 1)
+        assert "_integer_form" in vars(table)
+        if k1 == 1:
+            assert to_hilbert_function(num) is table
+
+
 def test_to_hilbert_function_extrapolated_flag():
     # an index-5 point brings residues 2, 3 into play
     num = ModelNumerics(k1=F(2, 5), k2=F(0), chi=1, basket=Basket.of(terminal_cyclic(5), terminal_cyclic(5)))
@@ -259,6 +272,14 @@ def test_second_difference_structural_tamper():
     assert second_difference_check(h) is False
 
 
+def test_second_difference_tamper_after_value():
+    # reading a value caches the integer form; a truncation after that still fails
+    h = to_hilbert_function(ModelNumerics(k1=F(1), k2=F(0), chi=1, basket=T2x2))
+    assert h.value(3) == 5
+    object.__setattr__(h, "correction", (F(0),))
+    assert second_difference_check(h) is False
+
+
 def test_second_difference_random():
     rng = random.Random(23)
     for _ in range(60):
@@ -306,6 +327,13 @@ def test_integrality_check_matches_fraction_definition():
         expected = all(hilbert_value(num, m).denominator == 1 for m in range(integrality_window(num)))
         assert integrality_check(num) == expected, num
         verdicts[expected] += 1
+        if not expected:
+            # the witness names the first m in [1, L) whose value is not an integer
+            window = integrality_window(num)
+            m = next(m for m in range(1, window) if hilbert_value(num, m).denominator != 1)
+            with pytest.raises(NotIntegral) as info:
+                to_hilbert_function(num)
+            assert info.value.context == {"window": window, "m": m, "value": format_rational(hilbert_value(num, m))}
     assert min(verdicts.values()) > 1000
 
 
