@@ -243,7 +243,7 @@ def _cmd_hilbert(args) -> str:
             f"--mmax {args.mmax} is above the limit of {MAX_MMAX}", mmax=args.mmax, limit=MAX_MMAX
         )
     table = hilbert_table(numerics)
-    values = [[m, format_rational(table.value(m))] for m in range(args.mmax + 1)]
+    values = [[m, text] for m, text in enumerate(table.value_texts(args.mmax))]
     if args.output_format == "csv":
         return _csv_text([["m", "P"]] + values)
     integral = integrality_check(numerics)
@@ -376,8 +376,9 @@ _HANDLERS = {
 
 
 def _error_payload(code: str, message: str, context: dict) -> str:
+    # dumps' writer; a context value JSON cannot hold is written as its str
     body = {"error": {"code": code, "message": message, "context": context}}
-    return json.dumps(body, indent=2, sort_keys=True, default=str) + "\n"
+    return ser._write(body, str)
 
 
 def run(argv: Sequence[str], stdout=None, stderr=None) -> int:

@@ -15,9 +15,11 @@ distinct baskets realizing the same table compare equal.
 The fast paths read one integer form, D (P(m) - chi) = (a m - b) m +
 c[m mod T] for m >= 1 (T the period, c excludes chi), which a
 :class:`HilbertFunction` derives from its corrections. A numerics keeps its
-table (:func:`hilbert_table`); the check, its ``NotIntegral`` witness, ``value``
-and ``canonical_form`` all read that form. :func:`hilbert_value` and the
-``baskets`` terms are the ``Fraction`` definitions it is tested against.
+table (:func:`hilbert_table`); the check, its ``NotIntegral`` witness,
+``value``, ``canonical_form`` and ``value_texts`` (the P(0..n) listing that
+``folcan enumerate`` and ``folcan hilbert`` print) all read that form.
+:func:`hilbert_value` and the ``baskets`` terms are the ``Fraction``
+definitions it is tested against.
 """
 
 from __future__ import annotations
@@ -201,6 +203,22 @@ class HilbertFunction:
             return Fraction(self.chi)
         den, a, b, c = self._integer_form
         return Fraction((a * m - b) * m + c[m % self.period] + den * self.chi, den)
+
+    def value_texts(self, mmax: int) -> list[str]:
+        """``format_rational(self.value(m))`` for m in [0, mmax], read from the integer form.
+
+        P(m) = ((a m - b) m + c[m mod T] + D chi) / D at m >= 1, put in lowest
+        terms with one ``gcd``; :meth:`value` is the reference it is tested against.
+        """
+        check_int(mmax, "mmax")
+        den, a, b, c = self._integer_form
+        period, shift = self.period, den * self.chi
+        texts = [str(self.chi)]
+        for m in range(1, mmax + 1):
+            num = (a * m - b) * m + c[m % period] + shift
+            g = math.gcd(num, den)
+            texts.append(str(num // den) if g == den else f"{num // g}/{den // g}")
+        return texts
 
     def canonical_form(self) -> tuple:
         # contract the correction tuple to its minimal period, found on the

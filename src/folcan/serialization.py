@@ -10,15 +10,20 @@ whose exceptional matrix is not negative definite) raise the domain
 errors of the constructing module and are reported as validation
 failures.
 
-``dumps`` is the single serializer: sorted keys, two-space indent,
-trailing newline, so byte-identical output for equal payloads.
+``dumps`` is the one serializer, error payloads included: sorted keys,
+two-space indent, trailing newline, so byte-identical output for equal
+payloads. It writes exactly what ``json.dumps(payload, indent=2,
+sort_keys=True)`` plus a newline writes, in one recursive pass that escapes
+every string with the C ``encode_basestring_ascii`` (the indenting
+``json.dumps`` falls back to a pure-Python encoder). It takes string keys
+only and writes no floats: the package has neither.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from typing import Any, Optional
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Any, Callable, Optional
 
 from .baskets import (
     Basket,
@@ -36,8 +41,66 @@ from .riemann_roch import HilbertFunction, ModelNumerics, window_length
 from .surface_model import ResolutionData, SurfaceModel
 
 
+def _not_serializable(value):
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def dumps(payload: Any) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    Dict keys must be strings and no value may be a float; either raises
+    :class:`TypeError`, as any value JSON cannot hold does.
+    """
+    return _write(payload, _not_serializable)
+
+
+def _write(payload: Any, default: Callable[[Any], Any]) -> str:
+    # dumps with json's ``default``: what it returns for a value that is no
+    # dict, list, tuple, str, int, bool or None is written in its place
+    chunks: list[str] = []
+    _append(chunks, "", payload, "\n", default)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _append(chunks: list, head: str, value, pad: str, default) -> None:
+    # head and then value; pad is the newline and indent of value's line.
+    # A scalar member is one chunk, separator and key included
+    if isinstance(value, str):
+        chunks.append(head + _quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append(head + "{}")
+            return
+        inner = pad + "  "
+        head += "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            head += _quote(key) + ": "
+            if type(item) is str:  # most members: no call
+                chunks.append(head + _quote(item))
+            else:
+                _append(chunks, head, item, inner, default)
+            head = "," + inner
+        chunks.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append(head + "[]")
+            return
+        inner = pad + "  "
+        head += "[" + inner
+        for item in value:
+            _append(chunks, head, item, inner, default)
+            head = "," + inner
+        chunks.append(pad + "]")
+    elif value is None:
+        chunks.append(head + "null")
+    elif isinstance(value, bool):
+        chunks.append(head + ("true" if value else "false"))
+    elif isinstance(value, int):
+        chunks.append(head + int.__repr__(value))
+    else:
+        _append(chunks, head, default(value), pad, default)
 
 
 def rational_to_json(value) -> str:
@@ -253,5 +316,5 @@ def enumerated_function_to_json(entry: EnumeratedFunction) -> dict:
     return {
         "function": hilbert_function_to_json(h),
         "witnesses": [basket_to_json(b) for b in entry.witnesses],
-        "values": {str(m): rational_to_json(h.value(m)) for m in range(2 * value_window(h) + 1)},
+        "values": {str(m): text for m, text in enumerate(h.value_texts(2 * value_window(h)))},
     }

@@ -307,3 +307,48 @@ def test_basket_count_limit(monkeypatch):
     assert str(info.value) == "the query spans 30 baskets, above the limit of 29"
     assert info.value.code == "invalid_input"
     assert info.value.context == {"baskets": 30, "limit": 29}
+
+
+def test_generated_baskets_are_canonical():
+    # enumerate_baskets builds each basket without sorting it; the sorting
+    # constructor and the sort-based generation are the reference
+    import itertools
+    import math
+
+    for s in (1, 2, 6, 12, 30, 60):
+        letters = basket_alphabet(s)
+        for cap in range(5):
+            for max_cusps in range(3):
+                generated = list(enumerate_baskets(s, cap, max_cusps))
+                for basket in generated:
+                    assert basket.profiles == Basket(basket.profiles).profiles, basket
+                sorted_construction = [
+                    Basket(combo + (cusp(),) * cusps)
+                    for size in range(cap + 1)
+                    for combo in itertools.combinations_with_replacement(letters, size)
+                    for cusps in range(max_cusps + 1)
+                ]
+                assert generated == sorted_construction, (s, cap, max_cusps)
+                assert len(generated) == math.comb(len(letters) + cap, cap) * (max_cusps + 1)
+
+
+def test_cap_zero_does_not_build_the_alphabet(monkeypatch):
+    # with cap 0 the one finite part is empty: neither the count, the P(1)
+    # screen nor the generator needs the O(sqrt s) alphabet of s
+    import folcan.bounds
+
+    def never(s):
+        raise AssertionError("the alphabet was built for a cap-0 query")
+
+    monkeypatch.setattr(folcan.bounds, "basket_alphabet", never)
+    s = 10**16
+    assert [len(b) for b in enumerate_baskets(s, 0, 2)] == [0, 1, 2]
+    query = EnumerationQuery(k1=F(1), k2=F(1), s=s, chi_set=frozenset({0, 2}), basket_cap=0, max_cusps=2,
+                             q_index_divides=True)
+    found = enumerate_hilbert(query)
+    # the empty basket with 0, 1 or 2 cusps: P(m) = (m^2 - m)/2 + chi - cusps at m >= 1
+    assert [(entry.function.chi, entry.function.correction) for entry in found] == [
+        (chi, (F(-cusps),)) for chi in (0, 2) for cusps in (2, 1, 0)
+    ]
+    assert [len(entry.witnesses[0]) for entry in found] == [2, 1, 0] * 2
+    assert enumerate_hilbert(EnumerationQuery(k1=F(1), k2=F(1), s=s, chi_set={0}, basket_cap=0)) == ()

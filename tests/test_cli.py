@@ -1,5 +1,8 @@
+import contextlib
+import hashlib
 import io
 import json
+import signal
 
 import pytest
 
@@ -496,3 +499,44 @@ def test_negative_integer_flags_reach_their_checks(numerics_file):
     assert json.loads(err)["error"]["code"] == "invalid_input"
     status, _, err = invoke(["bounds", "--k1", "1", "--k2", "0", "--s=-3"])
     assert status == 2 and json.loads(err)["error"]["code"] == "invalid_input"
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_enumerate_cap_zero_returns_at_once():
+    # with --cap 0 nothing scans the divisors of s (three scans took about 20 s
+    # at s = 10^16 on a 2-core VM); the digests are of the stdout the
+    # divisor-scanning code printed
+    from fractions import Fraction
+
+    from folcan.bounds import EnumerationQuery, enumerate_hilbert
+
+    s = 10**16
+    query = EnumerationQuery(k1=Fraction(1), k2=Fraction(1), s=s, chi_set={0, 2}, basket_cap=0, max_cusps=2,
+                             q_index_divides=True)
+    with time_limit(1):
+        assert len(enumerate_hilbert(query)) == 6
+    argv = ["enumerate", "--k1", "1", "--k2", "1", "--s", str(s), "--chi", "0,2", "--cap", "0", "--max-cusps", "2",
+            "--q-index-divides"]
+    for prefix, digest in (
+        ([], "2eae25797a8762c18274bd9bc8aa937c7f5130129b7ae7de523fcf3a5fbd9845"),
+        (["--format", "csv"], "27f27ffd6636bda1c6405cfd07668b20ac6cac24b516ded6419e4f47e12b52bc"),
+    ):
+        with time_limit(1):
+            status, out, err = invoke(prefix + argv)
+        assert status == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -29,6 +29,7 @@ from folcan.riemann_roch import (
     second_difference_check,
     table_second_difference,
     to_hilbert_function,
+    window_length,
 )
 from folcan.serialization import enumerated_function_to_json, value_window
 
@@ -465,3 +466,39 @@ def test_period_limit(monkeypatch):
         assert info.value.context == {"period": 13, "limit": 12}
     # the refusal comes before the profile's term table is built
     assert "term_numerators" not in vars(refused.basket.profiles[0])
+
+
+def test_value_texts_match_value():
+    # value_texts formats P(0..n) from the integer form; format_rational(value(m)) is the reference
+    from folcan.bounds import EnumerationQuery, enumerate_hilbert
+
+    rng = random.Random(1812)
+    seen = dict.fromkeys(("fractional k", "chi != 0", "negative", "non-integer", "cusp"), 0)
+    functions = []
+    for _ in range(40):
+        query = EnumerationQuery(
+            k1=F(rng.randint(1, 6), rng.choice((1, 2, 3, 4))),
+            k2=F(rng.randint(-6, 6), rng.choice((1, 2, 3))),
+            s=rng.choice((1, 2, 3, 4, 6)),
+            chi_set={rng.randint(-4, 4) for _ in range(2)},
+            basket_cap=rng.randint(0, 3),
+            max_cusps=rng.randint(0, 2),
+            q_index_divides=rng.random() < 0.5,
+        )
+        functions += [(entry.function, entry.witnesses) for entry in enumerate_hilbert(query)]
+    for _ in range(400):
+        num = _random_numerics(rng)
+        functions.append((hilbert_table(num), (num.basket,)))
+    for h, baskets in functions:
+        end = 2 * window_length(h.period, h.k1, h.k2) + rng.randint(0, 5)
+        texts = h.value_texts(end)
+        assert texts == [format_rational(h.value(m)) for m in range(end + 1)], h
+        assert h.value_texts(0) == [str(h.chi)]
+        seen["fractional k"] += h.k1.denominator > 1 or h.k2.denominator > 1
+        seen["chi != 0"] += h.chi != 0
+        seen["negative"] += any(t.startswith("-") for t in texts)
+        seen["non-integer"] += any("/" in t for t in texts)
+        seen["cusp"] += any(p.kind is SingularityKind.NON_QGOR_CUSP for b in baskets for p in b)
+    assert min(seen.values()) >= 20 and len(functions) >= 450, (seen, len(functions))
+    with pytest.raises(InvalidInput):
+        functions[0][0].value_texts(-1)

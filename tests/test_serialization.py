@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from folcan.baskets import Basket, cusp, dihedral_half, dihedral_zero, terminal_cyclic
+from folcan.baskets import Basket, SingularityKind, cusp, dihedral_half, dihedral_zero, terminal_cyclic
 from folcan.errors import DocumentError, NotNegativeDefinite
-from folcan.exact_core import SymmetricPairing
+from folcan.exact_core import SymmetricPairing, format_rational
 from folcan.riemann_roch import HilbertFunction, ModelNumerics, to_hilbert_function
 from folcan.serialization import (
     basket_from_json,
@@ -156,3 +156,103 @@ def test_hilbert_function_round_trip():
 def test_value_window():
     h = HilbertFunction(k1=F(1, 4), k2=F(1, 3), chi=0, period=2, correction=(F(0), F(0)))
     assert value_window(h) == 24
+
+
+# printable ASCII, quote, backslash, control characters, non-ASCII (one outside the BMP)
+_TEXT_ALPHABET = ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "ß", "∂", "日",
+                  "\U0001d11e"]
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_TEXT_ALPHABET) for _ in range(rng.randint(0, 6)))
+
+
+def _random_scalar(rng):
+    roll = rng.randrange(7)
+    if roll == 0:
+        return _random_text(rng)
+    if roll == 1:
+        return rng.choice((True, False, None))
+    if roll == 2:
+        return rng.randint(-(2**200), 2**200)  # well past 64 bits, either sign
+    if roll == 3:
+        return rng.choice(list(SingularityKind))
+    if roll == 4:
+        return rng.randint(-3, 3)
+    return format_rational(F(rng.randint(-99, 99), rng.randint(1, 9)))
+
+
+def _random_payload(rng, depth):
+    roll = rng.randrange(4) if depth > 0 else 3
+    if roll == 0:
+        return {_random_text(rng): _random_payload(rng, depth - 1) for _ in range(rng.randint(0, 4))}
+    if roll == 1:
+        return [_random_payload(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if roll == 2:
+        return tuple(_random_payload(rng, depth - 1) for _ in range(rng.randint(0, 3)))
+    return _random_scalar(rng)
+
+
+def _walk(payload):
+    yield payload
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            yield key
+            yield from _walk(value)
+    elif isinstance(payload, (list, tuple)):
+        for value in payload:
+            yield from _walk(value)
+
+
+_FEATURES = {
+    "empty dict": lambda x: isinstance(x, dict) and not x,
+    "empty list": lambda x: isinstance(x, list) and not x,
+    "tuple": lambda x: isinstance(x, tuple),
+    "kind": lambda x: isinstance(x, SingularityKind),
+    "big int": lambda x: isinstance(x, int) and abs(x) >= 2**64,
+    "negative int": lambda x: isinstance(x, int) and x < 0,
+    "bool or None": lambda x: x is None or isinstance(x, bool),
+    "control or quote": lambda x: isinstance(x, str) and any(c in x for c in '\x00\x1f\n"\\'),
+    "non-ASCII": lambda x: isinstance(x, str) and not x.isascii(),
+}
+
+
+def test_dumps_matches_json_dumps():
+    # dumps is its own indent writer; json.dumps(indent=2, sort_keys=True) is the reference
+    rng = random.Random(1811)
+    seen = dict.fromkeys(_FEATURES, 0)
+    for _ in range(600):
+        payload = _random_payload(rng, rng.randint(0, 4))
+        assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n", payload
+        parts = list(_walk(payload))
+        for name, feature in _FEATURES.items():
+            seen[name] += any(feature(x) for x in parts)
+    assert min(seen.values()) >= 20, seen
+    edge_cases = ({}, [], (), "", 0, -(2**70), True, None, {"k": SingularityKind.NON_QGOR_CUSP},
+                  {SingularityKind.DIHEDRAL_HALF: 1})
+    for payload in edge_cases:
+        assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n", payload
+    with pytest.raises(TypeError):
+        dumps({"k": object()})
+    for refused in ({"k": 0.5}, {1: "keys are strings"}):
+        with pytest.raises(TypeError):
+            dumps(refused)
+
+
+def test_error_payloads_match_json_dumps_with_str_default():
+    # cli._error_payload uses dumps' writer; an object JSON cannot hold is written as its str
+    from folcan.cli import _error_payload
+
+    class Opaque:
+        def __str__(self):
+            return 'opaque "é" <1>'
+
+    contexts = [
+        {},
+        {"signature": (0, 0, 1), "known": ["a", "b"], "limit": 10**6},
+        {"object": Opaque(), "fraction": F(-3, 4), "nested": {"pair": (Opaque(), None)}, "flag": True},
+    ]
+    for context in contexts:
+        body = {"error": {"code": "invalid_input", "message": "mü\n\"x\"", "context": context}}
+        expected = json.dumps(body, indent=2, sort_keys=True, default=str) + "\n"
+        assert _error_payload("invalid_input", "mü\n\"x\"", context) == expected
