@@ -63,7 +63,7 @@ from .constructions import (
 from .errors import DocumentError, FolcanError, InvalidInput
 from .exact_core import check_int, format_rational, parse_rational
 from .riemann_roch import hilbert_table, integrality_check
-from .surface_model import ResolutionData, mumford_pullback
+from .surface_model import ResolutionData, _pair_pullbacks, mumford_pullback
 
 
 # the largest ``hilbert --mmax``: one row per m (0.7 s at the limit on a 2-core VM)
@@ -229,7 +229,7 @@ def _cmd_intersect(args) -> str:
         "right": ser.vector_to_json(right),
         "pullback_left": ser.vector_to_json(pullback_left),
         "pullback_right": ser.vector_to_json(pullback_right),
-        "value": format_rational(model.pairing.pair(pullback_left, pullback_right)),
+        "value": format_rational(_pair_pullbacks(resolution, pullback_left, pullback_right)),
     }
     return _render_flat(payload, args.output_format)
 

@@ -15,7 +15,12 @@ valid whenever some combination a1*D1 + a2*D2 has positive square.
 A pairing is factored at most once: its first :func:`signature` or
 :func:`solve_linear` call computes the congruence P^T A P = D
 (:attr:`SymmetricPairing.congruence`) and keeps it on the instance, so the
-inertia and every later solve read the same factor.
+inertia and every later solve read the same factor. The factor is held in
+integers: each step's coefficient and each diagonal entry is a reduced
+numerator/denominator pair. Elimination and solving keep their working
+values as Python ints and normalise once (one gcd) per update, the
+integer-preserving idea of Bareiss's fraction-free elimination, and build
+Fractions only for what they return.
 
 Rationals cross every file boundary as the canonical string ``p/q`` (bare
 ``p`` when the denominator is 1); :func:`parse_rational` is strict about the
@@ -28,6 +33,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain, islice
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, InvalidInput, SingularMatrix
@@ -99,6 +106,17 @@ def check_int(value, name: str, minimum: Optional[int] = 0) -> int:
 
 
 def vector(entries: Iterable) -> Vector:
+    """Coerce every entry with :func:`as_rational`, each distinct int once.
+
+    A tuple that holds only Fractions comes back as it is.
+    """
+    entries = tuple(entries)
+    kinds = set(map(type, entries))
+    if kinds <= {Fraction}:
+        return entries
+    if kinds <= {int, Fraction}:
+        exact = {x: as_rational(x) for x in set(entries)}
+        return tuple(map(exact.__getitem__, entries))
     return tuple(as_rational(entry) for entry in entries)
 
 
@@ -121,19 +139,19 @@ class SymmetricPairing:
     entries: tuple[Vector, ...]
 
     def __post_init__(self):
-        rows = tuple(vector(row) for row in self.entries)
+        # one coercion of all entries, so each distinct int becomes one Fraction
+        raw = tuple(map(tuple, self.entries))
+        flat = iter(vector(chain.from_iterable(raw)))
+        rows = tuple(tuple(islice(flat, len(row))) for row in raw)
         n = len(rows)
         for row in rows:
             if len(row) != n:
                 raise InvalidInput(f"pairing matrix is not square: {len(row)}x{n} row")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise InvalidInput(
-                        f"pairing matrix is not symmetric at ({i},{j})",
-                        row=i,
-                        column=j,
-                    )
+        # rows against columns in one comparison; the first failing (i, j) is
+        # searched for only when it fails
+        if rows != tuple(zip(*rows)):
+            i, j = next((i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i])
+            raise InvalidInput(f"pairing matrix is not symmetric at ({i},{j})", row=i, column=j)
         object.__setattr__(self, "entries", rows)
 
     @classmethod
@@ -203,44 +221,38 @@ class SymmetricPairing:
         return sub
 
     @cached_property
-    def congruence(self) -> tuple[tuple[tuple[int, int, Fraction], ...], Vector]:
-        """Symmetric congruence P^T A P = D, computed once and kept on the instance.
+    def congruence(self) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[tuple[int, int], ...]]:
+        """Symmetric congruence P^T A P = D in integers, computed once and kept on the instance.
 
         Returns ``(steps, diagonal)``. P is the product, in order, of the
-        column operations ``(target, source, c)``: column ``target`` += c *
-        column ``source``; ``diagonal[k]`` is D's entry at position k.
-        Elimination works on each row's nonzeros only, so a tridiagonal form
-        such as a (-2)-chain costs O(n), and only nonzero multipliers are
-        recorded. Pivots are taken in position order; a zero diagonal forces
-        either a symmetric swap to a later nonzero diagonal or, when every
-        remaining diagonal is zero, the hyperbolic step e_i -> e_i + e_j for
-        a nonzero a_ij, which makes the new diagonal 2 a_ij. A remaining
-        block that is identically zero contributes zeros to D.
+        column operations ``(target, source, p, q)``: column ``target`` +=
+        p/q * column ``source``, with q > 0 and p/q in lowest terms;
+        ``diagonal[k]`` is D's entry at position k as the reduced pair
+        ``(numerator, denominator)``, so a zero entry is always ``(0, 1)``.
+        Elimination keeps each row as integer numerators over one positive
+        row denominator, touches each row's nonzeros only (a tridiagonal
+        form such as a (-2)-chain costs O(n)) and normalises a row by one
+        gcd after each update, so no rational is built per multiply-add.
+        Pivots are taken in position order; a zero diagonal forces either a
+        symmetric swap to a later nonzero diagonal or, when every remaining
+        diagonal is zero, the hyperbolic step e_i -> e_i + e_j for a nonzero
+        a_ij, which makes the new diagonal 2 a_ij. A remaining block that is
+        identically zero contributes zeros to D.
         """
         n = self.dimension
-        rows = [dict(row) for row in self.nonzeros]
-        diagonal = [Fraction(0)] * n
+        rows, dens = [], []
+        for row in self.nonzeros:
+            den = lcm(*(a.denominator for _, a in row))
+            rows.append({j: a.numerator * (den // a.denominator) for j, a in row})
+            dens.append(den)
+        diagonal = [(0, 1)] * n
         steps = []
 
-        def add(target: int, source: int, c: Fraction) -> None:
-            # e_target -> e_target + c e_source on both sides of the form
-            steps.append((target, source, c))
-            into, outof = rows[target], rows[source]
-            cross = outof.get(target, 0)
-            for l, a in list(outof.items()):
-                if l != target:
-                    value = into.get(l, 0) + c * a
-                    if value:
-                        into[l] = rows[l][target] = value
-                    else:
-                        into.pop(l, None)
-                        rows[l].pop(target, None)
-            # the row step added c * a_st, the column step adds c * (new a_ts)
-            square = into.get(target, 0) + c * (cross + into.get(source, 0))
-            if square:
-                into[target] = square
-            else:
-                into.pop(target, None)
+        def settle(i: int, row: dict, den: int) -> None:
+            # divide row i and den by their gcd, signed so den > 0, and drop zeros
+            g = gcd(den, *row.values()) if den > 0 else -gcd(den, *row.values())
+            rows[i] = {j: a // g for j, a in row.items() if a}
+            dens[i] = den // g
 
         pending = list(range(n))
         while pending:
@@ -249,13 +261,51 @@ class SymmetricPairing:
                 k = next((i for i in pending if rows[i]), None)
                 if k is None:
                     break
-                add(k, min(rows[k]), Fraction(1))
+                # hyperbolic step e_k -> e_k + e_j: row k becomes row k + row j,
+                # column k of every other row becomes column k + column j
+                j = min(rows[k])
+                steps.append((k, j, 1, 1))
+                rk, rj, dk, dj = rows[k], rows[j], dens[k], dens[j]
+                new = {m: rk.get(m, 0) * dj + rj.get(m, 0) * dk for m in rk.keys() | rj.keys()}
+                new[k] = new.get(k, 0) + new.get(j, 0)
+                for l in rk.keys() | rj.keys():
+                    if l != k:
+                        rows[l][k] = rows[l].get(k, 0) + rows[l].get(j, 0)
+                        if not rows[l][k]:
+                            del rows[l][k]
+                settle(k, new, dk * dj)
             pending.remove(k)
-            head = diagonal[k] = rows[k][k]
-            for l, a in sorted(rows[k].items()):
-                if l != k:
-                    add(l, k, -a / head)
+            pivot_row = rows[k]
+            head = pivot_row[k]
+            g = gcd(head, dens[k])
+            diagonal[k] = (head // g, dens[k] // g)
+            for l, a in sorted(pivot_row.items()):
+                if l == k:
+                    continue
+                # e_l -> e_l - (a_kl / a_kk) e_k; row l becomes its Schur update
+                g = gcd(a, head)
+                p, q = -a // g, head // g
+                steps.append((l, k, p, q) if q > 0 else (l, k, -p, -q))
+                c = rows[l][k]
+                new = {m: x * head for m, x in rows[l].items()}
+                for m, x in pivot_row.items():
+                    new[m] = new.get(m, 0) - c * x
+                settle(l, new, dens[l] * head)
         return tuple(steps), tuple(diagonal)
+
+
+def _add_multiples(num: list, den: list, updates) -> None:
+    """x[into] += p/q * x[outof] for each ``(into, outof, p, q)``, keeping num[i]/den[i] in lowest terms.
+
+    A denominator may be negative; the value is exact either way.
+    """
+    for into, outof, p, q in updates:
+        a = num[outof]
+        if a:
+            b, d, e = num[into], den[into], den[outof]
+            top, bottom = b * q * e + p * a * d, d * q * e
+            g = gcd(top, bottom)
+            num[into], den[into] = top // g, bottom // g
 
 
 def solve_linear(pairing: SymmetricPairing, rhs: Sequence) -> Vector:
@@ -263,36 +313,39 @@ def solve_linear(pairing: SymmetricPairing, rhs: Sequence) -> Vector:
 
     With P^T A P = D, x = P D^-1 P^T b: a forward pass over the recorded
     column operations, a diagonal scaling and a backward pass, each over
-    nonzeros only. Raises :class:`SingularMatrix` when D has a zero entry,
+    nonzeros only. The passes run on integer numerators and denominators,
+    each update normalised by one gcd; Fractions are built only for the
+    returned tuple. Raises :class:`SingularMatrix` when D has a zero entry,
     i.e. exactly when A is singular.
     """
     b = vector(rhs)
     pairing._check_length(b)
     steps, diagonal = pairing.congruence
-    if 0 in diagonal:
-        raise SingularMatrix("pairing matrix is singular", column=diagonal.index(0))
-    x = list(b)
-    for target, source, coeff in steps:
-        if x[source]:
-            x[target] += coeff * x[source]
-    for k, d in enumerate(diagonal):
-        if x[k]:
-            x[k] /= d
-    for target, source, coeff in reversed(steps):
-        if x[target]:
-            x[source] += coeff * x[target]
-    return tuple(x)
+    if (0, 1) in diagonal:
+        raise SingularMatrix("pairing matrix is singular", column=diagonal.index((0, 1)))
+    num = [x.numerator for x in b]
+    den = [x.denominator for x in b]
+    _add_multiples(num, den, steps)
+    for k, (p, q) in enumerate(diagonal):
+        a = num[k]
+        if a:
+            top, bottom = a * q, den[k] * p
+            g = gcd(top, bottom)
+            num[k], den[k] = top // g, bottom // g
+    _add_multiples(num, den, ((source, target, p, q) for target, source, p, q in reversed(steps)))
+    return tuple(map(Fraction, num, den))
 
 
 def signature(pairing: SymmetricPairing) -> tuple[int, int, int]:
     """Inertia (positives, negatives, zeros): the signs of the cached D.
 
     P^T A P = D is a congruence, so by Sylvester's law of inertia the sign
-    counts of D are invariants of the form.
+    counts of D are invariants of the form; they are read off the integer
+    numerators of the factor's diagonal.
     """
     diagonal = pairing.congruence[1]
-    positives = sum(d > 0 for d in diagonal)
-    negatives = sum(d < 0 for d in diagonal)
+    positives = sum(p > 0 for p, _ in diagonal)
+    negatives = sum(p < 0 for p, _ in diagonal)
     return (positives, negatives, len(diagonal) - positives - negatives)
 
 

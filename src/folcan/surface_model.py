@@ -34,9 +34,10 @@ from .exact_core import (
     check_int,
     signature,
     solve_linear,
-    vec_scale,
     vector,
 )
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,12 @@ class ResolutionData:
     def exceptional_gram(self) -> SymmetricPairing:
         return self.ambient.pairing.restrict(self.exceptional_indices)
 
+    @cached_property
+    def strict_positions(self) -> tuple[int, ...]:
+        """The basis positions outside the exceptional set, in order."""
+        exceptional = set(self.exceptional_indices)
+        return tuple(i for i in range(self.ambient.rank) if i not in exceptional)
+
 
 def validate_resolution(res: ResolutionData) -> None:
     """Exceptional Gram must be negative definite; raises otherwise."""
@@ -151,25 +158,40 @@ def mumford_pullback(res: ResolutionData, strict: Sequence) -> Vector:
     factor computed when the resolution was validated, and returns
     strict + sum of x_i * E_i. When the strict transform is already
     orthogonal to the exceptional locus the correction is zero and the
-    input comes back unchanged.
+    input comes back unchanged. The strict transform is coerced and checked
+    once, and only the rows of its support are read.
     """
     strict = res.ambient._coerce(strict)
     indices = res.exceptional_indices
     if not indices:
         return strict
-    image = res.ambient.pairing.apply(strict)
-    rhs = vec_scale(-1, [image[j] for j in indices])
+    # A is symmetric, so A strict is the sum of x * (row m) over the support of strict
+    nonzeros = res.ambient.pairing.nonzeros
+    image = {}
+    for m, x in enumerate(strict):
+        if x:
+            for j, a in nonzeros[m]:
+                image[j] = image[j] + a * x if j in image else a * x
+    rhs = tuple(-image[j] if j in image else _ZERO for j in indices)
     coefficients = solve_linear(res.exceptional_gram, rhs)
     result = list(strict)
     for position, coefficient in zip(indices, coefficients):
-        result[position] += coefficient
+        result[position] = result[position] + coefficient if result[position] else coefficient
     return tuple(result)
 
 
+def _pair_pullbacks(res: ResolutionData, pulled1: Vector, pulled2: Vector) -> Fraction:
+    """p1^T A p2 for two pullbacks, over the non-exceptional rows only.
+
+    A p2 vanishes on every exceptional row, so p1^T A p2 is the sum over
+    i outside the exceptional set of p1_i (A p2)_i.
+    """
+    row_dot = res.ambient.pairing._row_dot
+    return sum((pulled1[i] * row_dot(i, pulled2) for i in res.strict_positions if pulled1[i]), Fraction(0))
+
+
 def weil_intersect(res: ResolutionData, strict1: Sequence, strict2: Sequence) -> Fraction:
-    return res.ambient.pairing.pair(
-        mumford_pullback(res, strict1), mumford_pullback(res, strict2)
-    )
+    return _pair_pullbacks(res, mumford_pullback(res, strict1), mumford_pullback(res, strict2))
 
 
 @dataclass(frozen=True)

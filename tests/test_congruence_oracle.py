@@ -251,3 +251,96 @@ def test_sparse_products_match_a_dense_reference():
         assert sub.apply(w) == reference.apply(w)
         with pytest.raises(InvalidInput):
             pairing.restrict([n])
+
+
+def rational_dense_negative(rng, n):
+    """-(B^T B + I) for a random B with entries of denominator 1, 2 or 3."""
+    b = [[F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n)]
+    return [[-sum((b[k][i] * b[k][j] for k in range(n)), F(0)) - (i == j) for j in range(n)] for i in range(n)]
+
+
+def embed(rng, gram, strict_count):
+    """An ambient model with the exceptional Gram ``gram`` and strict curves at random positions.
+
+    The exceptional curves take the remaining positions in a shuffled
+    order, so neither set is a contiguous block.
+    """
+    ne = len(gram)
+    n = ne + strict_count
+    strict = rng.sample(range(1, n - 1), strict_count)
+    exceptional = [i for i in range(n) if i not in strict]
+    rng.shuffle(exceptional)
+    rows = [[F(0)] * n for _ in range(n)]
+    for a, i in enumerate(exceptional):
+        for b, j in enumerate(exceptional):
+            rows[i][j] = F(gram[a][b])
+    for s in strict:
+        for t in strict:
+            rows[s][t] = rows[t][s] = F(rng.randint(-3, 3), rng.choice((1, 2)))
+        for e in rng.sample(exceptional, min(ne, 3)):
+            rows[s][e] = rows[e][s] = F(rng.randint(-2, 2), rng.choice((1, 1, 3)))
+    model = SurfaceModel(tuple(f"c{i}" for i in range(n)), SymmetricPairing.from_rows(rows))
+    return ResolutionData(model, tuple(exceptional))
+
+
+def check_at_bench_size(gram, res, rng):
+    pairing = SymmetricPairing.from_rows(gram)
+    inertia, _ = oracle_inertia(gram)
+    assert signature(pairing) == inertia == (0, len(gram), 0)
+    assert signature(res.exceptional_gram) == inertia
+    for _ in range(2):
+        b = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in gram)
+        x = solve_linear(pairing, b)
+        assert matvec(gram, x) == b and all(type(v) is F for v in x)
+    n = res.ambient.rank
+    for _ in range(3):
+        u, v = (
+            tuple(F(rng.choice((0, 0, rng.randint(-4, 4))), rng.choice((1, 2))) for _ in range(n))
+            for _ in range(2)
+        )
+        p1, p2 = mumford_pullback(res, u), mumford_pullback(res, v)
+        assert all(type(a) is F for a in p1 + p2)
+        image = res.ambient.pairing.apply(p2)
+        assert all(image[j] == 0 for j in res.exceptional_indices)
+        value = weil_intersect(res, u, v)
+        assert value == res.ambient.pairing.pair(p1, p2) and type(value) is F
+
+
+@pytest.mark.parametrize("rank", [8, 17, 30])
+def test_dense_rational_grams_at_bench_size(rank):
+    rng = random.Random(1000 + rank)
+    gram = rational_dense_negative(rng, rank)
+    check_at_bench_size(gram, embed(rng, gram, 3), rng)
+
+
+@pytest.mark.parametrize("length", [16, 77, 128])
+def test_chains_with_scattered_strict_curves_at_bench_size(length):
+    rng = random.Random(2000 + length)
+    gram = chain(length)
+    check_at_bench_size(gram, embed(rng, gram, 4), rng)
+
+
+def test_an_empty_exceptional_set_pairs_in_the_ambient():
+    rng = random.Random(3000)
+    rows = symmetric(9, lambda: F(rng.randint(-4, 4), rng.choice((1, 2, 3))))
+    res = ResolutionData(SurfaceModel(tuple(f"c{i}" for i in range(9)), SymmetricPairing.from_rows(rows)), ())
+    for _ in range(5):
+        u = tuple(F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(9))
+        v = tuple(rng.randint(-3, 3) for _ in range(9))
+        assert mumford_pullback(res, u) == u
+        value = weil_intersect(res, u, v)
+        assert value == sum((a * b for a, b in zip(u, matvec(rows, v))), F(0)) and type(value) is F
+
+
+def test_zero_diagonal_forms_with_denominators_match_the_oracle():
+    """Hyperbolic steps on rows whose entries have denominators other than 1."""
+    rng = random.Random(99)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        rows = symmetric(n, lambda: F(rng.choice([0, 0, 1, -1, 2]), rng.choice([1, 2, 3, 5])))
+        for i in range(n):
+            if rng.random() < 0.8:
+                rows[i][i] = F(0)
+        verdicts.add(check_against_oracle(rows, rng) == 0)
+    assert verdicts == {True, False}

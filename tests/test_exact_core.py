@@ -132,6 +132,52 @@ def test_pairing_accepts_strings():
     assert p.pair([1, 1], [1, 1]) == F(1)
 
 
+def test_pairing_construction_coerces_and_validates():
+    expected = ((F(-2), F(1, 2), F(0)), (F(1, 2), F(3), F(0)), (F(0), F(0), F(-1)))
+    for rows in (
+        [[-2, "1/2", 0], ["1/2", 3, 0], [0, 0, -1]],
+        [["-2", "1/2", "0"], ["1/2", "3", "0"], ["0", "0", "-1"]],
+        [list(row) for row in expected],
+        [[-2, F(1, 2), 0], [F(1, 2), 3, F(0)], [0, 0, -1]],
+    ):
+        p = SymmetricPairing.from_rows(rows)
+        assert p.entries == expected
+        assert all(type(x) is Fraction for row in p.entries for x in row)
+    ints = SymmetricPairing.from_rows([[0, 1, 0], [1, 0, 7], [0, 7, 0]])
+    assert all(type(x) is Fraction for row in ints.entries for x in row)
+    for bad in (True, False, 1.0, 0.5):
+        for rows in ([[bad, 0], [0, 1]], [[1, 0], [0, bad]], [[F(1), "0"], ["0", bad]]):
+            with pytest.raises(TypeError):
+                SymmetricPairing.from_rows(rows)
+    for rows, shape in (([[1, 0], [0]], "1x2"), ([[1, 0, 0], [0, 1, 0]], "3x2"), ([[]], "0x1")):
+        with pytest.raises(InvalidInput) as info:
+            SymmetricPairing.from_rows(rows)
+        assert str(info.value) == f"pairing matrix is not square: {shape} row"
+
+
+def test_asymmetric_pairing_reports_its_first_failing_entry():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        rows = [[rng.choice((0, 0, 1, -1, "1/2")) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                rows[j][i] = rows[i][j]
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = Fraction(rows[i][j]) + rng.choice((1, 2, F(1, 3)))
+        first = next(
+            ((i, j) for i in range(n) for j in range(i) if Fraction(rows[i][j]) != Fraction(rows[j][i])), None
+        )
+        if first is None:
+            SymmetricPairing.from_rows(rows)
+            continue
+        with pytest.raises(InvalidInput) as info:
+            SymmetricPairing.from_rows(rows)
+        assert str(info.value) == f"pairing matrix is not symmetric at ({first[0]},{first[1]})"
+        assert info.value.context == {"row": first[0], "column": first[1]}
+
+
 # ---------------------------------------------------------------- solving
 
 
