@@ -16,15 +16,18 @@ basket is checked at chi = 0: chi is an integer, so it changes neither
 integrality nor the correction table, and the accepted functions are then
 expanded over the requested chi values. A cusp adds the integer -1 at every
 m >= 1, so the index and the integrality of a basket depend only on its
-finite-index part. Each part is decided on its first basket: it is out if
-its index does not match or if P(1) is not an integer, a screen summed from
-per-letter integers over one common denominator that builds no numerics.
-A part that passes gets the full integrality check on each of its baskets
-until one fails, and every later basket with that part is skipped. A query
-whose index s is above ``riemann_roch.MAX_PERIOD`` (with cap >= 1) or that
-spans more than :data:`MAX_BASKETS` baskets is refused before any basket is
-generated. Accepted functions merge on their canonical form, the chi = 0
-function, and each result is built once per chi from that form.
+finite-index part, and the scan yields each part's cusp variants in one
+consecutive group. The search walks the scan one group at a time and decides
+the part on its cusp-free basket: it is out if its index does not match or
+if P(1) is not an integer, a screen summed in integers from the m = 1 entry
+of each letter's ``term_numerators`` that builds no numerics. The variants
+of a part that passes get the full integrality check in turn, and the first
+failure ends the group. A query whose index s is above
+``riemann_roch.MAX_PERIOD`` (with cap >= 1), that spans more than
+:data:`MAX_BASKETS` baskets or that asks for more than :data:`MAX_CHI` chi
+values is refused before any basket is generated. Accepted functions merge
+on their canonical form, the chi = 0 function, and each result is built
+once per chi from that form.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .baskets import (
     cusp,
     dihedral_half,
     dihedral_zero,
-    local_term,
     q_index,
     terminal_cyclic,
 )
@@ -127,10 +129,13 @@ def enumerate_baskets(s: int, cap: int, max_cusps: int) -> Iterator[Basket]:
     """Every basket with <= cap finite-index profiles compatible with s.
 
     Deterministic order, no duplicates; cusps appended separately up to
-    max_cusps since they do not constrain the index. Each basket is made in
-    canonical order, so none is sorted: a combination of the alphabet is in
-    canonical order already, and the cusps go in at their sorted position.
-    With cap 0 the O(sqrt s) alphabet is not built.
+    max_cusps since they do not constrain the index. The scan comes in
+    consecutive groups of max_cusps + 1 baskets, one group per finite-index
+    part (a combination of the alphabet), carrying 0, 1, ..., max_cusps
+    cusps in that order. Each basket is made in canonical order, so none is
+    sorted: a combination of the alphabet is in canonical order already, and
+    the cusps go in at their sorted position. With cap 0 the O(sqrt s)
+    alphabet is not built.
     """
     s = check_int(s, "s", 1)
     check_int(cap, "cap")
@@ -183,24 +188,16 @@ def _basket_sort_key(basket: Basket):
     return tuple(p.sort_key for p in basket)
 
 
-def _first_value_numerators(query: EnumerationQuery, letters: tuple) -> tuple[dict, int, int]:
-    """``(letter_value, base, D)`` with D P(1) = base + sum of letter_value + D (chi - cusps).
-
-    D = lcm(2 den k1, 2 den k2, the letters' m = 1 term denominators);
-    ``letter_value`` maps each letter's ``sort_key`` to D times its term at
-    m = 1, and base = D (k1 - k2) / 2. P(1) is an integer exactly when D
-    divides base plus the values of a basket's finite-index letters.
-    """
-    terms = {p.sort_key: local_term(p, 1) for p in letters}
-    den, a, b = quadratic_numerators(query.k1, query.k2, *(t.denominator for t in terms.values()))
-    letter_value = {key: t.numerator * (den // t.denominator) for key, t in terms.items()}
-    return letter_value, a - b, den
-
-
 # the most baskets one enumerate_hilbert query may span (s = 60, cap = 8,
 # max_cusps = 2 spans 959,310 and takes about 6 s on a 2-core VM); larger
 # queries are refused before any basket is generated
 MAX_BASKETS = 1_000_000
+
+# the most chi values one enumerate_hilbert query may ask for: every result
+# is copied once per chi (``enumerate --k1 1 --k2 0 --s 12 --cap 6
+# --max-cusps 2`` over 100 chi values prints 13.0 MB of JSON in about 1.3 s
+# on a 2-core VM); larger chi sets are refused before any basket is generated
+MAX_CHI = 100
 
 
 def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]:
@@ -211,18 +208,22 @@ def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]
     (``terminal_cyclic(s)`` is a letter). The query spans
     C(|alphabet| + cap, cap) * (max_cusps + 1) baskets; above
     :data:`MAX_BASKETS` it raises :class:`InvalidInput` with that count and
-    the limit in its context. Both are refused before scanning. With cap 0
-    the alphabet is not built, so the cost does not grow with s.
+    the limit in its context, and a ``chi_set`` of more than :data:`MAX_CHI`
+    values raises it with its size and the limit. All are refused before
+    scanning. With cap 0 the alphabet is not built, so the cost does not
+    grow with s.
 
-    A finite-index part (a basket without its cusps) is decided once, on
-    its first basket: it is out when its ``q_index`` does not match s, or
-    when P(1) is not an integer, tested in integers from each letter's term
-    at m = 1 (:func:`_first_value_numerators`) without a ``ModelNumerics``.
-    Each basket of a part that is still in gets one integrality check and,
-    if accepted, one compression, both at chi = 0; a failed check puts the
-    part out. Functions merge on their canonical form (the chi = 0 function
-    at its minimal period); a merged function is extrapolated if any witness
-    is. Each result is built from that form once per chi in ``chi_set``.
+    The scan is walked one finite-index part (a basket without its cusps) at
+    a time, as the group of its cusp variants that :func:`enumerate_baskets`
+    yields in a row. The part is decided on the group's cusp-free basket: it
+    is out when its ``q_index`` does not match s, or when P(1) is not an
+    integer, tested in integers from the m = 1 entry of each letter's
+    ``term_numerators`` without a ``ModelNumerics``. Each variant of a part
+    that is in gets one integrality check and, if accepted, one compression,
+    both at chi = 0; the first failed check ends the group. Functions merge
+    on their canonical form (the chi = 0 function at its minimal period); a
+    merged function is extrapolated if any witness is. Each result is built
+    from that form once per chi in ``chi_set``.
     """
     if query.k1 <= 0:
         raise NonPositiveVolume(f"leading self-intersection must be positive, got {query.k1}")
@@ -237,33 +238,34 @@ def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]
             baskets=count,
             limit=MAX_BASKETS,
         )
+    if len(query.chi_set) > MAX_CHI:
+        raise InvalidInput(
+            f"the query asks for {len(query.chi_set)} chi values, above the limit of {MAX_CHI}",
+            chi_values=len(query.chi_set),
+            limit=MAX_CHI,
+        )
+    # den P(1) = a - b + den (chi - cusps) + den times each letter's m = 1
+    # term t[1 % len(t)] / d, an integer since den is a multiple of every d
+    den, a, b = quadratic_numerators(query.k1, query.k2, *(p.term_numerators[0] for p in letters))
     found: dict[tuple, list] = {}
-    # whether each finite-index part (the sort_keys of its profiles with a
-    # local index) may still be accepted; a cusp adds the integer -1 at every
-    # m >= 1, so the part alone decides the index and integrality of every
-    # cusp variant, and it is decided on its first basket
-    open_parts: dict[tuple, bool] = {}
-    letter_value, base, den = _first_value_numerators(query, letters)
-    for basket in enumerate_baskets(query.s, cap, max_cusps):
-        finite = tuple(p.sort_key for p in basket.profiles if p.local_index is not None)
-        is_open = open_parts.get(finite)
-        if is_open is None:
-            idx = q_index(basket)
-            is_open = open_parts[finite] = (
-                (idx == query.s or (query.q_index_divides and query.s % idx == 0))
-                # den P(1) = base + the letters' values + den (chi - cusps)
-                and (base + sum(letter_value[k] for k in finite)) % den == 0
-            )
-        if not is_open:
+    # a cusp adds the integer -1 at every m >= 1, so the part alone decides
+    # the index and the integrality of every variant in its group
+    scan = enumerate_baskets(query.s, cap, max_cusps)
+    for variants in zip(*[scan] * (max_cusps + 1)):
+        idx = q_index(variants[0])
+        if not (idx == query.s or (query.q_index_divides and query.s % idx == 0)):
             continue
-        numerics = ModelNumerics(k1=query.k1, k2=query.k2, chi=0, basket=basket)
-        if not integrality_check(numerics):
-            open_parts[finite] = False
+        terms = (p.term_numerators for p in variants[0].profiles)
+        if (a - b + sum(t[1 % len(t)] * (den // d) for d, t in terms)) % den:
             continue
-        func = to_hilbert_function(numerics)
-        entry = found.setdefault(func.canonical_form(), [False, []])
-        entry[0] |= func.extrapolated
-        entry[1].append(basket)
+        for basket in variants:
+            numerics = ModelNumerics(k1=query.k1, k2=query.k2, chi=0, basket=basket)
+            if not integrality_check(numerics):
+                break
+            func = to_hilbert_function(numerics)
+            entry = found.setdefault(func.canonical_form(), [False, []])
+            entry[0] |= func.extrapolated
+            entry[1].append(basket)
     merged = [
         (key, flag, tuple(sorted(witnesses, key=_basket_sort_key)))
         for key, (flag, witnesses) in sorted(found.items())

@@ -13,7 +13,8 @@ Exit status 0 on success; 1 for I/O and document-shape problems (a
 non-canonical rational in a document among them); 2 for mathematically
 invalid input, for oversized requests (``hilbert --mmax`` above
 :data:`MAX_MMAX`, an ``example --sweep`` of more than :data:`MAX_SWEEP`
-values, an enumeration above ``bounds.MAX_BASKETS``, a basket
+values, an enumeration above ``bounds.MAX_BASKETS`` baskets or with a
+``--chi`` of more than ``bounds.MAX_CHI`` values, a basket
 period above ``riemann_roch.MAX_PERIOD`` in either ``hilbert`` format,
 ``enumerate --s`` above it with ``--cap`` at least 1) and for command-line
 syntax errors. Among those: a rational flag not in the canonical ``p/q``

@@ -352,3 +352,18 @@ def test_cap_zero_does_not_build_the_alphabet(monkeypatch):
     ]
     assert [len(entry.witnesses[0]) for entry in found] == [2, 1, 0] * 2
     assert enumerate_hilbert(EnumerationQuery(k1=F(1), k2=F(1), s=s, chi_set={0}, basket_cap=0)) == ()
+
+
+def test_enumerate_baskets_groups_each_part_with_its_cusps():
+    # enumerate_hilbert walks the scan in chunks of max_cusps + 1: each chunk
+    # is one finite-index part with 0, 1, ..., max_cusps cusps in that order
+    rng = random.Random(20261018)
+    for _ in range(12):
+        s, cap, max_cusps = rng.choice((1, 2, 6, 12, 30, 60)), rng.randint(0, 4), rng.randint(0, 3)
+        scan = list(enumerate_baskets(s, cap, max_cusps))
+        assert len(scan) % (max_cusps + 1) == 0
+        for start in range(0, len(scan), max_cusps + 1):
+            chunk = scan[start:start + max_cusps + 1]
+            parts = {tuple(p for p in b if p.kind is not SingularityKind.NON_QGOR_CUSP) for b in chunk}
+            cusps = [sum(p.kind is SingularityKind.NON_QGOR_CUSP for p in b) for b in chunk]
+            assert len(parts) == 1 and cusps == list(range(max_cusps + 1)), (s, cap, max_cusps, chunk)

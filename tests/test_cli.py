@@ -289,6 +289,16 @@ def test_example_sweep_bad_param():
         status, out, err = invoke(["example", "ruled", "--k", "2", "--g", "2", "--q", "0", "--sweep", sweep])
         assert status == 2 and out == ""
         assert json.loads(err)["error"]["message"] == "sweep parameter 'k' not in ('g', 'q')"
+    # a malformed or empty range is a usage error
+    for sweep, message in (
+        ("n1..3", "sweep must look like param=a..b, got 'n1..3'"),
+        ("=1..3", "sweep must look like param=a..b, got '=1..3'"),
+        ("n=1-3", "sweep must look like param=a..b, got 'n=1-3'"),
+        ("n=3..1", "empty sweep range: 'n=3..1'"),
+    ):
+        status, out, err = invoke(["example", "abelian", "--d", "3", "--n", "2", "--sweep", sweep])
+        assert status == 2 and out == "", sweep
+        assert err.startswith("usage: folcan") and f"argument --sweep: {message}" in err, err
 
 
 def test_example_invalid_input():
@@ -314,6 +324,10 @@ def test_out_flag(tmp_path):
     status, out, _ = invoke(["--out", str(target), "bounds", "--k1", "8", "--k2", "8", "--s", "1"])
     assert status == 0 and out == ""
     assert json.loads(target.read_text())["kx2_upper"] == "8"
+    # a report that cannot be written is an I/O error, and nothing is printed
+    status, out, err = invoke(["--out", str(tmp_path), "bounds", "--k1", "8", "--k2", "8", "--s", "1"])
+    assert status == 1 and out == ""
+    assert json.loads(err)["error"]["code"] == "io_error"
 
 
 def test_byte_determinism(model_file, numerics_file):
@@ -409,6 +423,24 @@ def test_enumerate_basket_limit_returns_at_once(monkeypatch):
     assert error["message"] == (
         f"the query spans {error['context']['baskets']} baskets, above the limit of {folcan.bounds.MAX_BASKETS}"
     )
+
+
+def test_enumerate_chi_limit_returns_at_once(monkeypatch):
+    import folcan.bounds
+
+    def never(*args):
+        raise AssertionError("baskets were generated for a refused query")
+
+    base = ["enumerate", "--k1", "1", "--k2", "0", "--s", "2", "--cap", "2", "--max-cusps", "1", "--chi"]
+    status, out, _ = invoke(base + [",".join(map(str, range(100)))])
+    assert status == 0 and json.loads(out)["count"] == 200
+    monkeypatch.setattr(folcan.bounds, "enumerate_baskets", never)
+    status, out, err = invoke(base + [",".join(map(str, range(101)))])
+    assert status == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_input"
+    assert error["context"] == {"chi_values": 101, "limit": folcan.bounds.MAX_CHI} == {"chi_values": 101, "limit": 100}
+    assert error["message"] == "the query asks for 101 chi values, above the limit of 100"
 
 
 def test_oversized_period_returns_at_once(tmp_path, monkeypatch):

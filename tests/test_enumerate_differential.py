@@ -4,7 +4,8 @@ The reference below runs ``enumerate_baskets``, then ``q_index``, then
 ``integrality_check`` on every basket of matching index (no per-part state,
 no screen at m = 1), compresses each accepted basket with
 ``to_hilbert_function`` and merges on the canonical form. Seeded queries
-cover fractional k1 and k2, cusps and both index rules.
+cover fractional k1 and k2, cusps and both index rules, and a few
+queries of the benchmark's size (s = 30 and 60, cap 5 and 6) follow.
 """
 
 import random
@@ -76,6 +77,24 @@ def test_enumerate_hilbert_matches_the_full_scan():
         fractional += bool(found and (query.k1.denominator > 1 or query.k2.denominator > 1))
     # the seeds reach accepted baskets, with fractional k1 or k2 among them
     assert witnesses > 100 and fractional >= 3
+
+
+@pytest.mark.parametrize(
+    "k1,k2,s,cap,max_cusps,q_index_divides",
+    [
+        (Fraction(1), Fraction(1), 60, 5, 0, True),
+        (Fraction(1), Fraction(0), 30, 6, 1, False),
+        (Fraction(1, 2), Fraction(3), 30, 5, 2, True),
+    ],
+)
+def test_bench_size_queries_match_the_full_scan(k1, k2, s, cap, max_cusps, q_index_divides):
+    query = EnumerationQuery(
+        k1=k1, k2=k2, s=s, chi_set=frozenset({-1, 2}), basket_cap=cap, max_cusps=max_cusps,
+        q_index_divides=q_index_divides,
+    )
+    expected = reference(query)
+    assert len(expected) > 100  # each reaches accepted baskets
+    assert observed(query) == expected
 
 
 @pytest.mark.parametrize("q_index_divides", [False, True])
