@@ -18,7 +18,8 @@ A pairing is factored at most once: its first :func:`signature` or
 inertia and every later solve read the same factor. The factor is held in
 integers: each step's coefficient and each diagonal entry is a reduced
 numerator/denominator pair. Elimination and solving keep their working
-values as Python ints and normalise once (one gcd) per update, the
+values as Python ints and normalise once (one gcd) per row update, per
+forward update and per pivot run of the backward pass, the
 integer-preserving idea of Bareiss's fraction-free elimination, and build
 Fractions only for what they return.
 
@@ -33,8 +34,9 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, InvalidInput, SingularMatrix
@@ -182,13 +184,28 @@ class SymmetricPairing:
     def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         """Each row's nonzero entries as ``(column, value)`` pairs, in column order.
 
-        Computed once and kept on the instance; products and the congruence
-        read only these.
+        Every row, scanned once (O(n^2) in all) and kept on the instance;
+        the congruence starts from these. Products, pullbacks and pairings
+        read rows through :meth:`_row` instead, which scans a row the first
+        time it is read, so they cost O(nnz) of the rows they read (after
+        one O(n) scan per row). Both share each scanned row.
         """
-        return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in self.entries)
+        return tuple(map(self._row, range(self.dimension)))
+
+    @cached_property
+    def _scanned(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
+        return {}
+
+    def _row(self, i: int) -> tuple[tuple[int, Fraction], ...]:
+        """Row i's nonzero ``(column, value)`` pairs, scanned on first read and kept."""
+        row = self._scanned.get(i)
+        if row is None:
+            entries = self.entries[i]
+            row = self._scanned[i] = tuple(compress(enumerate(entries), entries))
+        return row
 
     def _row_dot(self, i: int, v: Vector) -> Fraction:
-        return sum((a * v[j] for j, a in self.nonzeros[i] if v[j]), Fraction(0))
+        return sum((a * v[j] for j, a in self._row(i) if v[j]), Fraction(0))
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix-vector product A v over the nonzero entries and the support of v."""
@@ -207,31 +224,46 @@ class SymmetricPairing:
     def restrict(self, indices: Sequence[int]) -> "SymmetricPairing":
         """Submatrix on the given basis positions, in the given order.
 
-        A principal submatrix of a validated symmetric matrix is square,
-        symmetric and exact already, so it is built without the
-        constructor's coercion and checks.
+        Each position must be an int (bools and floats are refused) in
+        range. A principal submatrix of a validated symmetric matrix is
+        square, symmetric and exact already, so it is built without the
+        constructor's coercion and checks: each selected row is copied by
+        one ``itemgetter`` call, O(k^2) for k positions.
         """
         for i in indices:
-            if not 0 <= i < self.dimension:
+            if not 0 <= check_int(i, "basis position", None) < self.dimension:
                 raise InvalidInput(f"basis position {i} out of range", dimension=self.dimension)
+        # itemgetter of one index returns the item itself, not a 1-tuple, and takes no empty list
+        pick = itemgetter(*indices) if len(indices) > 1 else lambda seq: tuple(seq[i] for i in indices)
+        entries = tuple(map(pick, pick(self.entries)))
         sub = object.__new__(SymmetricPairing)
-        object.__setattr__(
-            sub, "entries", tuple(tuple(self.entries[i][j] for j in indices) for i in indices)
-        )
+        object.__setattr__(sub, "entries", entries)
         return sub
 
     @cached_property
-    def congruence(self) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[tuple[int, int], ...]]:
+    def congruence(self) -> tuple[
+        tuple[tuple[int, int, int, int], ...],
+        tuple[tuple[int, int], ...],
+        tuple[tuple[int, tuple[tuple[int, int], ...], int], ...],
+    ]:
         """Symmetric congruence P^T A P = D in integers, computed once and kept on the instance.
 
-        Returns ``(steps, diagonal)``. P is the product, in order, of the
-        column operations ``(target, source, p, q)``: column ``target`` +=
-        p/q * column ``source``, with q > 0 and p/q in lowest terms;
+        Returns ``(steps, diagonal, runs)``. P is the product, in order, of
+        the column operations ``(target, source, p, q)``: column ``target``
+        += p/q * column ``source``, with q > 0 and p/q in lowest terms;
         ``diagonal[k]`` is D's entry at position k as the reduced pair
         ``(numerator, denominator)``, so a zero entry is always ``(0, 1)``.
+        ``runs`` are the same steps transposed, in reverse order and grouped
+        by the entry they write, for the backward pass of
+        :func:`solve_linear`: a run ``(k, terms, m)`` adds
+        sum(c * x[l] for l, c in terms) / m to x[k]. A pivot's run has
+        m = a_kk and c = -a_kl in the pivot row's integer scale, one common
+        denominator for all its steps; a hyperbolic step is a run of its
+        own. Along a chain every run has one term.
         Elimination keeps each row as integer numerators over one positive
-        row denominator, touches each row's nonzeros only (a tridiagonal
-        form such as a (-2)-chain costs O(n)) and normalises a row by one
+        row denominator, touches each row's nonzeros only (after the O(n^2)
+        scan of :attr:`nonzeros`, a tridiagonal form such as a (-2)-chain
+        costs O(n) to eliminate) and normalises a row by one
         gcd after each update, so no rational is built per multiply-add.
         Pivots are taken in position order; a zero diagonal forces either a
         symmetric swap to a later nonzero diagonal or, when every remaining
@@ -246,7 +278,7 @@ class SymmetricPairing:
             rows.append({j: a.numerator * (den // a.denominator) for j, a in row})
             dens.append(den)
         diagonal = [(0, 1)] * n
-        steps = []
+        steps, runs = [], []
 
         def settle(i: int, row: dict, den: int) -> None:
             # divide row i and den by their gcd, signed so den > 0, and drop zeros
@@ -265,6 +297,7 @@ class SymmetricPairing:
                 # column k of every other row becomes column k + column j
                 j = min(rows[k])
                 steps.append((k, j, 1, 1))
+                runs.append((j, ((k, 1),), 1))
                 rk, rj, dk, dj = rows[k], rows[j], dens[k], dens[j]
                 new = {m: rk.get(m, 0) * dj + rj.get(m, 0) * dk for m in rk.keys() | rj.keys()}
                 new[k] = new.get(k, 0) + new.get(j, 0)
@@ -279,9 +312,11 @@ class SymmetricPairing:
             head = pivot_row[k]
             g = gcd(head, dens[k])
             diagonal[k] = (head // g, dens[k] // g)
+            terms = []
             for l, a in sorted(pivot_row.items()):
                 if l == k:
                     continue
+                terms.append((l, -a))
                 # e_l -> e_l - (a_kl / a_kk) e_k; row l becomes its Schur update
                 g = gcd(a, head)
                 p, q = -a // g, head // g
@@ -291,7 +326,9 @@ class SymmetricPairing:
                 for m, x in pivot_row.items():
                     new[m] = new.get(m, 0) - c * x
                 settle(l, new, dens[l] * head)
-        return tuple(steps), tuple(diagonal)
+            if terms:
+                runs.append((k, tuple(terms), head))
+        return tuple(steps), tuple(diagonal), tuple(reversed(runs))
 
 
 def _add_multiples(num: list, den: list, updates) -> None:
@@ -308,19 +345,55 @@ def _add_multiples(num: list, den: list, updates) -> None:
             num[into], den[into] = top // g, bottom // g
 
 
+def _add_runs(num: list, den: list, runs) -> None:
+    """x[k] += sum(c * x[l]) / m for each run ``(k, terms, m)``, one gcd per run.
+
+    Every x[l] a run reads is final. The terms are summed over each
+    distinct denominator of their x[l] first, and those sums over their
+    lcm, so x[k] is reduced once. A run of one term costs what one update
+    of :func:`_add_multiples` costs.
+    """
+    for k, terms, m in runs:
+        if len(terms) == 1:
+            ((l, c),) = terms
+            a = num[l]
+            if not a:
+                continue
+            total, e = c * a, den[l]
+        else:
+            sums = {}
+            for l, c in terms:
+                a = num[l]
+                if a:
+                    e = den[l]
+                    sums[e] = sums.get(e, 0) + c * a
+            if not sums:
+                continue
+            (e, total), *rest = sums.items()
+            for f, t in rest:
+                g = gcd(e, f)
+                total, e = total * (f // g) + t * (e // g), e // g * f
+        b, d = num[k], den[k]
+        top, bottom = b * m * e + total * d, d * m * e
+        g = gcd(top, bottom)
+        num[k], den[k] = top // g, bottom // g
+
+
 def solve_linear(pairing: SymmetricPairing, rhs: Sequence) -> Vector:
     """Solve A x = b exactly through the pairing's cached congruence.
 
     With P^T A P = D, x = P D^-1 P^T b: a forward pass over the recorded
     column operations, a diagonal scaling and a backward pass, each over
-    nonzeros only. The passes run on integer numerators and denominators,
-    each update normalised by one gcd; Fractions are built only for the
+    nonzeros only. The passes run on integer numerators and denominators.
+    The forward pass normalises each update by one gcd; the backward pass
+    sums each pivot's run of updates over the pivot's denominator and
+    normalises once per run. Fractions are built only for the
     returned tuple. Raises :class:`SingularMatrix` when D has a zero entry,
     i.e. exactly when A is singular.
     """
     b = vector(rhs)
     pairing._check_length(b)
-    steps, diagonal = pairing.congruence
+    steps, diagonal, runs = pairing.congruence
     if (0, 1) in diagonal:
         raise SingularMatrix("pairing matrix is singular", column=diagonal.index((0, 1)))
     num = [x.numerator for x in b]
@@ -332,7 +405,7 @@ def solve_linear(pairing: SymmetricPairing, rhs: Sequence) -> Vector:
             top, bottom = a * q, den[k] * p
             g = gcd(top, bottom)
             num[k], den[k] = top // g, bottom // g
-    _add_multiples(num, den, ((source, target, p, q) for target, source, p, q in reversed(steps)))
+    _add_runs(num, den, runs)
     return tuple(map(Fraction, num, den))
 
 

@@ -159,18 +159,20 @@ def mumford_pullback(res: ResolutionData, strict: Sequence) -> Vector:
     strict + sum of x_i * E_i. When the strict transform is already
     orthogonal to the exceptional locus the correction is zero and the
     input comes back unchanged. The strict transform is coerced and checked
-    once, and only the rows of its support are read.
+    once, and only the ambient rows of its support are read, each scanned
+    the first time any query reads it; the ambient's full ``nonzeros`` is
+    never built here.
     """
     strict = res.ambient._coerce(strict)
     indices = res.exceptional_indices
     if not indices:
         return strict
     # A is symmetric, so A strict is the sum of x * (row m) over the support of strict
-    nonzeros = res.ambient.pairing.nonzeros
+    row = res.ambient.pairing._row
     image = {}
     for m, x in enumerate(strict):
         if x:
-            for j, a in nonzeros[m]:
+            for j, a in row(m):
                 image[j] = image[j] + a * x if j in image else a * x
     rhs = tuple(-image[j] if j in image else _ZERO for j in indices)
     coefficients = solve_linear(res.exceptional_gram, rhs)
@@ -184,7 +186,8 @@ def _pair_pullbacks(res: ResolutionData, pulled1: Vector, pulled2: Vector) -> Fr
     """p1^T A p2 for two pullbacks, over the non-exceptional rows only.
 
     A p2 vanishes on every exceptional row, so p1^T A p2 is the sum over
-    i outside the exceptional set of p1_i (A p2)_i.
+    i outside the exceptional set of p1_i (A p2)_i; only those rows of the
+    ambient are read.
     """
     row_dot = res.ambient.pairing._row_dot
     return sum((pulled1[i] * row_dot(i, pulled2) for i in res.strict_positions if pulled1[i]), Fraction(0))

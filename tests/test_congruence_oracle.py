@@ -249,8 +249,9 @@ def test_sparse_products_match_a_dense_reference():
         assert signature(sub) == signature(reference)
         w = sparse_vector(len(indices))
         assert sub.apply(w) == reference.apply(w)
-        with pytest.raises(InvalidInput):
-            pairing.restrict([n])
+        for bad_indices in ([n], [True], [1.0]):
+            with pytest.raises(InvalidInput):
+                pairing.restrict(bad_indices)
 
 
 def rational_dense_negative(rng, n):
