@@ -1,16 +1,25 @@
 """Exact rational scalars, vectors and symmetric bilinear forms.
 
-Everything in this package runs over the rationals with
-:class:`fractions.Fraction`; there is no floating point anywhere, so every
-intersection number, correction term and enumeration filter is computed
-without rounding. This module provides the substrate shared by the geometric
-layers: coordinate vectors of divisor classes, symmetric pairings
-(intersection forms), exact linear solving, the inertia of a form, and the
-index-theorem inequality check
+Everything in this package is exact: a rational is a
+:class:`fractions.Fraction` or ints over an explicit denominator, and there
+is no floating point anywhere, so every intersection number, correction
+term and enumeration filter is computed without rounding. This module
+provides the substrate shared by the geometric layers: coordinate vectors
+of divisor classes, symmetric pairings (intersection forms), exact linear
+solving, the inertia of a form, and the index-theorem inequality check
 
     D1^2 * D2^2 <= (D1 . D2)^2
 
 valid whenever some combination a1*D1 + a2*D2 has positive square.
+
+A pairing holds its matrix in integers from construction on: int rows of
+numerators over one positive common denominator, the lcm of the entries'
+denominators (an int matrix is its own integer form, over 1). Its
+``entries`` are the Fraction view that callers and serialization read;
+the symmetry check, row scans, products, restrictions and the factor all
+read the integer form, and a vector enters a product or a solve as its
+numerators over one denominator, so a product or a pairing builds
+Fractions only for what it returns.
 
 A pairing is factored at most once: its first :func:`signature` or
 :func:`solve_linear` call computes the congruence P^T A P = D
@@ -31,7 +40,7 @@ canonical form so that serialization round-trips bit-exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, compress, islice
@@ -134,27 +143,59 @@ def vec_scale(coeff, v: Sequence) -> Vector:
     return tuple(c * a for a in vector(v))
 
 
+def _integer_form(values: Iterable) -> tuple[tuple[int, ...], int]:
+    """``values`` as integer numerators over their least common positive denominator.
+
+    Entries are coerced as by :func:`vector`; an all-int sequence is its own
+    numerators over 1, and no Fraction is built for it.
+    """
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values, 1
+    values = vector(values)
+    den = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
+
+
 @dataclass(frozen=True)
 class SymmetricPairing:
-    """Symmetric matrix of exact rationals used as an intersection form."""
+    """Symmetric matrix of exact rationals used as an intersection form.
+
+    ``entries`` is the Fraction view; every computation reads the integer
+    form ``_numerators`` (int rows) over the positive denominator ``_scale``.
+    """
 
     entries: tuple[Vector, ...]
+    _numerators: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # one coercion of all entries, so each distinct int becomes one Fraction
         raw = tuple(map(tuple, self.entries))
-        flat = iter(vector(chain.from_iterable(raw)))
-        rows = tuple(tuple(islice(flat, len(row))) for row in raw)
-        n = len(rows)
-        for row in rows:
+        n = len(raw)
+        for row in raw:
             if len(row) != n:
                 raise InvalidInput(f"pairing matrix is not square: {len(row)}x{n} row")
+        flat = tuple(chain.from_iterable(raw))
+        if set(map(type, flat)) <= {int}:
+            # an int matrix is its own integer form; each distinct int becomes one Fraction
+            rows, scale = raw, 1
+            fraction = {x: Fraction(x) for x in set(flat)}.__getitem__
+            entries = tuple(tuple(map(fraction, row)) for row in raw)
+        else:
+            # entries are coerced one at a time, so no Fraction is hashed
+            exact = map(as_rational, flat)
+            entries = tuple(tuple(islice(exact, n)) for _ in raw)
+            numerators, scale = _integer_form(chain.from_iterable(entries))
+            numerators = iter(numerators)
+            rows = tuple(tuple(islice(numerators, n)) for _ in raw)
         # rows against columns in one comparison; the first failing (i, j) is
         # searched for only when it fails
         if rows != tuple(zip(*rows)):
             i, j = next((i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i])
             raise InvalidInput(f"pairing matrix is not symmetric at ({i},{j})", row=i, column=j)
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_numerators", rows)
+        object.__setattr__(self, "_scale", scale)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "SymmetricPairing":
@@ -174,52 +215,59 @@ class SymmetricPairing:
     def dimension(self) -> int:
         return len(self.entries)
 
-    def _check_length(self, v: Vector) -> None:
+    def _check_length(self, v: Sequence) -> None:
         if len(v) != self.dimension:
             raise DimensionMismatch(
                 f"vector of length {len(v)} against a pairing of dimension {self.dimension}"
             )
 
     @cached_property
-    def nonzeros(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Each row's nonzero entries as ``(column, value)`` pairs, in column order.
+    def nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each row's nonzero numerators as ``(column, int)`` pairs, in column order.
 
-        Every row, scanned once (O(n^2) in all) and kept on the instance;
-        the congruence starts from these. Products, pullbacks and pairings
-        read rows through :meth:`_row` instead, which scans a row the first
-        time it is read, so they cost O(nnz) of the rows they read (after
-        one O(n) scan per row). Both share each scanned row.
+        The entry at (i, j) is the pair's int divided by :attr:`_scale`.
+        Every row, scanned once (O(n^2) int tests in all) and kept on the
+        instance; the congruence starts from these. Products, pullbacks and
+        pairings read rows through :meth:`_row` instead, which scans a row
+        the first time it is read, so they cost O(nnz) of the rows they read
+        (after one O(n) scan per row). Both share each scanned row.
         """
         return tuple(map(self._row, range(self.dimension)))
 
     @cached_property
-    def _scanned(self) -> dict[int, tuple[tuple[int, Fraction], ...]]:
+    def _scanned(self) -> dict[int, tuple[tuple[int, int], ...]]:
         return {}
 
-    def _row(self, i: int) -> tuple[tuple[int, Fraction], ...]:
-        """Row i's nonzero ``(column, value)`` pairs, scanned on first read and kept."""
+    def _row(self, i: int) -> tuple[tuple[int, int], ...]:
+        """Row i's nonzero ``(column, int)`` pairs of numerators over :attr:`_scale`.
+
+        Scanned on the first read and kept.
+        """
         row = self._scanned.get(i)
         if row is None:
-            entries = self.entries[i]
-            row = self._scanned[i] = tuple(compress(enumerate(entries), entries))
+            numerators = self._numerators[i]
+            row = self._scanned[i] = tuple(compress(enumerate(numerators), numerators))
         return row
 
-    def _row_dot(self, i: int, v: Vector) -> Fraction:
-        return sum((a * v[j] for j, a in self._row(i) if v[j]), Fraction(0))
+    def _row_dot(self, i: int, numerators: Sequence[int]) -> int:
+        """(A v)_i times :attr:`_scale` and v's denominator, for v given by ``numerators``."""
+        return sum(a * numerators[j] for j, a in self._row(i))
 
     def apply(self, v: Sequence) -> Vector:
-        """Matrix-vector product A v over the nonzero entries and the support of v."""
-        v = vector(v)
-        self._check_length(v)
-        return tuple(self._row_dot(i, v) for i in range(self.dimension))
+        """Matrix-vector product A v over the nonzero entries, in integers."""
+        numerators, den = _integer_form(v)
+        self._check_length(numerators)
+        den *= self._scale
+        return tuple(Fraction(self._row_dot(i, numerators), den) for i in range(self.dimension))
 
     def pair(self, u: Sequence, v: Sequence) -> Fraction:
-        """Bilinear value u^T A v over the nonzero entries and the supports of u and v."""
-        u = vector(u)
-        self._check_length(u)
-        v = vector(v)
-        self._check_length(v)
-        return sum((x * self._row_dot(i, v) for i, x in enumerate(u) if x), Fraction(0))
+        """Bilinear value u^T A v over the nonzero entries and the support of u, in integers."""
+        left, left_den = _integer_form(u)
+        self._check_length(left)
+        right, right_den = _integer_form(v)
+        self._check_length(right)
+        total = sum(x * self._row_dot(i, right) for i, x in enumerate(left) if x)
+        return Fraction(total, left_den * right_den * self._scale)
 
     def restrict(self, indices: Sequence[int]) -> "SymmetricPairing":
         """Submatrix on the given basis positions, in the given order.
@@ -227,17 +275,26 @@ class SymmetricPairing:
         Each position must be an int (bools and floats are refused) in
         range. A principal submatrix of a validated symmetric matrix is
         square, symmetric and exact already, so it is built without the
-        constructor's coercion and checks: each selected row is copied by
-        one ``itemgetter`` call, O(k^2) for k positions.
+        constructor's coercion and checks: each selected row of the Fraction
+        view and of the integer form is copied by one ``itemgetter`` call,
+        O(k^2) for k positions. The integer rows and the scale are then
+        divided by their gcd, so the submatrix has the scale a fresh
+        construction would give it (its entries' least common denominator).
         """
         for i in indices:
             if not 0 <= check_int(i, "basis position", None) < self.dimension:
                 raise InvalidInput(f"basis position {i} out of range", dimension=self.dimension)
         # itemgetter of one index returns the item itself, not a 1-tuple, and takes no empty list
         pick = itemgetter(*indices) if len(indices) > 1 else lambda seq: tuple(seq[i] for i in indices)
-        entries = tuple(map(pick, pick(self.entries)))
+        rows, scale = tuple(map(pick, pick(self._numerators))), self._scale
+        if scale > 1:
+            g = gcd(scale, *chain.from_iterable(rows))
+            if g > 1:
+                rows, scale = tuple(tuple(a // g for a in row) for row in rows), scale // g
         sub = object.__new__(SymmetricPairing)
-        object.__setattr__(sub, "entries", entries)
+        object.__setattr__(sub, "entries", tuple(map(pick, pick(self.entries))))
+        object.__setattr__(sub, "_numerators", rows)
+        object.__setattr__(sub, "_scale", scale)
         return sub
 
     @cached_property
@@ -260,11 +317,12 @@ class SymmetricPairing:
         m = a_kk and c = -a_kl in the pivot row's integer scale, one common
         denominator for all its steps; a hyperbolic step is a run of its
         own. Along a chain every run has one term.
-        Elimination keeps each row as integer numerators over one positive
-        row denominator, touches each row's nonzeros only (after the O(n^2)
-        scan of :attr:`nonzeros`, a tridiagonal form such as a (-2)-chain
-        costs O(n) to eliminate) and normalises a row by one
-        gcd after each update, so no rational is built per multiply-add.
+        Elimination starts from the integer rows of :attr:`nonzeros`, each
+        over :attr:`_scale`, keeps each row as integer numerators over one
+        positive row denominator, touches each row's nonzeros only (after
+        the O(n^2) scan of :attr:`nonzeros`, a tridiagonal form such as a
+        (-2)-chain costs O(n) to eliminate) and normalises a row by one gcd
+        after each update, so no rational is built per multiply-add.
         Pivots are taken in position order; a zero diagonal forces either a
         symmetric swap to a later nonzero diagonal or, when every remaining
         diagonal is zero, the hyperbolic step e_i -> e_i + e_j for a nonzero
@@ -272,11 +330,8 @@ class SymmetricPairing:
         identically zero contributes zeros to D.
         """
         n = self.dimension
-        rows, dens = [], []
-        for row in self.nonzeros:
-            den = lcm(*(a.denominator for _, a in row))
-            rows.append({j: a.numerator * (den // a.denominator) for j, a in row})
-            dens.append(den)
+        rows = list(map(dict, self.nonzeros))
+        dens = [self._scale] * n
         diagonal = [(0, 1)] * n
         steps, runs = [], []
 
@@ -391,13 +446,12 @@ def solve_linear(pairing: SymmetricPairing, rhs: Sequence) -> Vector:
     returned tuple. Raises :class:`SingularMatrix` when D has a zero entry,
     i.e. exactly when A is singular.
     """
-    b = vector(rhs)
-    pairing._check_length(b)
+    num, d = _integer_form(rhs)
+    pairing._check_length(num)
     steps, diagonal, runs = pairing.congruence
     if (0, 1) in diagonal:
         raise SingularMatrix("pairing matrix is singular", column=diagonal.index((0, 1)))
-    num = [x.numerator for x in b]
-    den = [x.denominator for x in b]
+    num, den = list(num), [d] * len(num)
     _add_multiples(num, den, steps)
     for k, (p, q) in enumerate(diagonal):
         a = num[k]

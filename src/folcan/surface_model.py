@@ -23,21 +23,21 @@ classes not in the list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, InvalidInput, NotNegativeDefinite
 from .exact_core import (
     SymmetricPairing,
     Vector,
+    _integer_form,
     check_int,
     signature,
     solve_linear,
     vector,
 )
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -158,42 +158,61 @@ def mumford_pullback(res: ResolutionData, strict: Sequence) -> Vector:
     factor computed when the resolution was validated, and returns
     strict + sum of x_i * E_i. When the strict transform is already
     orthogonal to the exceptional locus the correction is zero and the
-    input comes back unchanged. The strict transform is coerced and checked
-    once, and only the ambient rows of its support are read, each scanned
-    the first time any query reads it; the ambient's full ``nonzeros`` is
-    never built here.
+    input comes back unchanged. The strict transform is checked once and
+    read twice: as Fractions for the result, and as integer numerators over
+    one denominator for the right-hand side A strict, which is computed in
+    integers from the ambient's integer rows of its support. Each such row
+    is scanned the first time any query reads it; the ambient's full
+    ``nonzeros`` is never built here.
     """
+    strict = tuple(strict)
+    numerators, den = _integer_form(strict)
     strict = res.ambient._coerce(strict)
     indices = res.exceptional_indices
     if not indices:
         return strict
-    # A is symmetric, so A strict is the sum of x * (row m) over the support of strict
-    row = res.ambient.pairing._row
+    # A is symmetric, so A strict is the sum of x * (row m) over the support of
+    # strict; the ints here are A strict times the ambient's scale and den
+    pairing = res.ambient.pairing
     image = {}
-    for m, x in enumerate(strict):
-        if x:
-            for j, a in row(m):
-                image[j] = image[j] + a * x if j in image else a * x
-    rhs = tuple(-image[j] if j in image else _ZERO for j in indices)
-    coefficients = solve_linear(res.exceptional_gram, rhs)
+    for m in compress(range(len(numerators)), numerators):
+        x = numerators[m]
+        for j, a in pairing._row(m):
+            image[j] = image.get(j, 0) + a * x
+    coefficients = solve_linear(res.exceptional_gram, tuple(-image.get(j, 0) for j in indices))
+    den *= pairing._scale
+    if den > 1:
+        coefficients = tuple(c / den for c in coefficients)
     result = list(strict)
     for position, coefficient in zip(indices, coefficients):
-        result[position] = result[position] + coefficient if result[position] else coefficient
+        result[position] = result[position] + coefficient if numerators[position] else coefficient
     return tuple(result)
 
 
 def _pair_pullbacks(res: ResolutionData, pulled1: Vector, pulled2: Vector) -> Fraction:
-    """p1^T A p2 for two pullbacks, over the non-exceptional rows only.
+    """p1^T A p2 for two pullbacks, over the non-exceptional rows only, in integers.
 
     A p2 vanishes on every exceptional row, so p1^T A p2 is the sum over
     i outside the exceptional set of p1_i (A p2)_i; only those rows of the
-    ambient are read.
+    ambient are read. Both pullbacks are taken as integer numerators over
+    one denominator each (p1 on the strict positions only), so the sum is
+    one int and one Fraction is built.
     """
-    row_dot = res.ambient.pairing._row_dot
-    return sum((pulled1[i] * row_dot(i, pulled2) for i in res.strict_positions if pulled1[i]), Fraction(0))
+    pairing, positions = res.ambient.pairing, res.strict_positions
+    left, left_den = _integer_form(pulled1[i] for i in positions)
+    right, right_den = _integer_form(pulled2)
+    total = sum(x * pairing._row_dot(i, right) for i, x in zip(positions, left) if x)
+    return Fraction(total, left_den * right_den * pairing._scale)
 
 
 def weil_intersect(res: ResolutionData, strict1: Sequence, strict2: Sequence) -> Fraction:
+    """The intersection number of two Weil divisors downstairs, given by their strict transforms.
+
+    ``strict1`` and ``strict2`` are classes on the ambient lattice. The
+    value is the ambient pairing of their Mumford pullbacks, one
+    :func:`mumford_pullback` each (so one solve on the resolution's cached
+    factor each), exact and rational in general.
+    """
     return _pair_pullbacks(res, mumford_pullback(res, strict1), mumford_pullback(res, strict2))
 
 

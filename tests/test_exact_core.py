@@ -112,6 +112,21 @@ def test_pairing_validation():
         SymmetricPairing(((F(0), F(1)), (F(2), F(0))))
     with pytest.raises(InvalidInput):
         SymmetricPairing(((F(0), F(1)),))
+    # symmetry is checked on the integer form: the same failing entry whatever the input kind
+    asymmetric = [[-2, 1, 0], [1, -2, 1], [0, 3, -2]]
+    halves = [[F(a, 2) for a in row] for row in asymmetric]
+    for rows in (
+        asymmetric,
+        [[str(a) for a in row] for row in asymmetric],
+        [[F(a) for a in row] for row in asymmetric],
+        halves,
+        [[format_rational(a) for a in row] for row in halves],
+        [[int(a) if a.denominator == 1 else a for a in row] for row in halves],  # ints and Fractions
+    ):
+        with pytest.raises(InvalidInput) as info:
+            SymmetricPairing.from_rows(rows)
+        assert str(info.value) == "pairing matrix is not symmetric at (2,1)"
+        assert info.value.context == {"row": 2, "column": 1}
 
 
 def test_pairing_basics():

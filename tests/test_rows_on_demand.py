@@ -1,8 +1,8 @@
 """Pullbacks and pairings read the ambient rows they use, not the whole form.
 
-A pairing scans a row for its nonzeros the first time the row is read and
-keeps it (``SymmetricPairing._row``); the full tuple ``nonzeros`` is built
-only for the congruence, which reads every row.
+A pairing scans a row of its integer form for its nonzeros the first time
+the row is read and keeps it (``SymmetricPairing._row``); the full tuple
+``nonzeros`` is built only for the congruence, which reads every row.
 """
 
 import functools
@@ -71,13 +71,17 @@ def test_rows_read_on_demand_equal_the_full_scan():
         if rows is forms[-1]:
             zeros = [a for row in lazy.entries for a in row if a == 0]
             assert len(zeros) > 1 and len(set(map(id, zeros))) == len(zeros)
-        reference = tuple(tuple((j, F(a)) for j, a in enumerate(row) if F(a) != 0) for row in rows)
+        # the rows hold numerators over the scale: the Fraction entries times _scale
+        scale = whole._scale
+        assert lazy._scale == scale
+        reference = tuple(tuple((j, F(a) * scale) for j, a in enumerate(row) if F(a) != 0) for row in rows)
         assert whole.nonzeros == reference
+        assert all(type(a) is int for row in whole.nonzeros for _, a in row)
         order = rng.sample(range(n), n)
         for i in order[: (n + 1) // 2]:
             row = lazy._row(i)
             assert row == reference[i] and lazy._row(i) is row
-            assert all(type(a) is F for _, a in row)
+            assert all(type(a) is int for _, a in row)
         # the full tuple reuses the rows already read and scans the rest
         assert lazy.nonzeros == reference
         assert all(lazy.nonzeros[i] is lazy._row(i) for i in range(n))
