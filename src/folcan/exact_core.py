@@ -12,14 +12,14 @@ solving, the inertia of a form, and the index-theorem inequality check
 
 valid whenever some combination a1*D1 + a2*D2 has positive square.
 
-A pairing holds its matrix in integers from construction on: int rows of
-numerators over one positive common denominator, the lcm of the entries'
-denominators (an int matrix is its own integer form, over 1). Its
-``entries`` are the Fraction view that callers and serialization read;
-the symmetry check, row scans, products, restrictions and the factor all
-read the integer form, and a vector enters a product or a solve as its
-numerators over one denominator, so a product or a pairing builds
-Fractions only for what it returns.
+A pairing's state is its integer form: int rows of numerators over one
+positive common denominator, the lcm of the entries' denominators (an int
+matrix is its own integer form, over 1). The form is canonical, so
+equality, hashing, the symmetry check, row scans, products, restrictions
+and the factor all read it; ``entries``, the Fraction view that
+serialization and callers read, is built on its first read. A vector
+enters a product or a solve as its numerators over one denominator, so a
+product or a pairing builds Fractions only for what it returns.
 
 A pairing is factored at most once: its first :func:`signature` or
 :func:`solve_linear` call computes the congruence P^T A P = D
@@ -40,7 +40,7 @@ canonical form so that serialization round-trips bit-exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, compress, islice
@@ -157,43 +157,33 @@ def _integer_form(values: Iterable) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (den // x.denominator) for x in values), den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymmetricPairing:
     """Symmetric matrix of exact rationals used as an intersection form.
 
-    ``entries`` is the Fraction view; every computation reads the integer
-    form ``_numerators`` (int rows) over the positive denominator ``_scale``.
+    Its state is the integer form ``_numerators`` (int rows) over the
+    positive denominator ``_scale``, the lcm of the entries' denominators;
+    equality, hashing and every computation read it. :attr:`entries` is the
+    Fraction view, built on its first read.
     """
 
-    entries: tuple[Vector, ...]
-    _numerators: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _scale: int = field(init=False, repr=False, compare=False)
+    _numerators: tuple[tuple[int, ...], ...]
+    _scale: int
 
-    def __post_init__(self):
-        raw = tuple(map(tuple, self.entries))
+    def __init__(self, entries: Iterable[Iterable]):
+        raw = tuple(map(tuple, entries))
         n = len(raw)
         for row in raw:
             if len(row) != n:
                 raise InvalidInput(f"pairing matrix is not square: {len(row)}x{n} row")
-        flat = tuple(chain.from_iterable(raw))
-        if set(map(type, flat)) <= {int}:
-            # an int matrix is its own integer form; each distinct int becomes one Fraction
-            rows, scale = raw, 1
-            fraction = {x: Fraction(x) for x in set(flat)}.__getitem__
-            entries = tuple(tuple(map(fraction, row)) for row in raw)
-        else:
-            # entries are coerced one at a time, so no Fraction is hashed
-            exact = map(as_rational, flat)
-            entries = tuple(tuple(islice(exact, n)) for _ in raw)
-            numerators, scale = _integer_form(chain.from_iterable(entries))
-            numerators = iter(numerators)
-            rows = tuple(tuple(islice(numerators, n)) for _ in raw)
+        numerators, scale = _integer_form(chain.from_iterable(raw))
+        numerators = iter(numerators)
+        rows = tuple(tuple(islice(numerators, n)) for _ in raw)
         # rows against columns in one comparison; the first failing (i, j) is
         # searched for only when it fails
         if rows != tuple(zip(*rows)):
             i, j = next((i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i])
             raise InvalidInput(f"pairing matrix is not symmetric at ({i},{j})", row=i, column=j)
-        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_numerators", rows)
         object.__setattr__(self, "_scale", scale)
 
@@ -211,9 +201,16 @@ class SymmetricPairing:
     def identity(cls, n: int) -> "SymmetricPairing":
         return cls.diagonal([1] * n)
 
+    @cached_property
+    def entries(self) -> tuple[Vector, ...]:
+        """The matrix as Fraction rows, one Fraction per distinct numerator; built on the first read."""
+        scale = self._scale
+        fraction = {a: Fraction(a, scale) for a in set(chain.from_iterable(self._numerators))}.__getitem__
+        return tuple(tuple(map(fraction, row)) for row in self._numerators)
+
     @property
     def dimension(self) -> int:
-        return len(self.entries)
+        return len(self._numerators)
 
     def _check_length(self, v: Sequence) -> None:
         if len(v) != self.dimension:
@@ -275,11 +272,11 @@ class SymmetricPairing:
         Each position must be an int (bools and floats are refused) in
         range. A principal submatrix of a validated symmetric matrix is
         square, symmetric and exact already, so it is built without the
-        constructor's coercion and checks: each selected row of the Fraction
-        view and of the integer form is copied by one ``itemgetter`` call,
-        O(k^2) for k positions. The integer rows and the scale are then
-        divided by their gcd, so the submatrix has the scale a fresh
-        construction would give it (its entries' least common denominator).
+        constructor's coercion and checks: each selected integer row is
+        copied by one ``itemgetter`` call, O(k^2) for k positions, and no
+        Fraction is built. The rows and the scale are then divided by their
+        gcd: the scale becomes the entries' least common denominator, the
+        canonical form a fresh construction has, and the two are equal.
         """
         for i in indices:
             if not 0 <= check_int(i, "basis position", None) < self.dimension:
@@ -292,7 +289,6 @@ class SymmetricPairing:
             if g > 1:
                 rows, scale = tuple(tuple(a // g for a in row) for row in rows), scale // g
         sub = object.__new__(SymmetricPairing)
-        object.__setattr__(sub, "entries", tuple(map(pick, pick(self.entries))))
         object.__setattr__(sub, "_numerators", rows)
         object.__setattr__(sub, "_scale", scale)
         return sub

@@ -7,7 +7,10 @@ seeded forms with denominators up to 6, zero rows, 0x0 and 1x1 forms and
 restrictions that drop a denominator are what exercise the scale: a
 product that forgets to divide by ``_scale``, a restriction that keeps its
 parent's scale, or a pullback that drops the strict transform's
-denominator all fail here.
+denominator all fail here. The integer form is the pairing's only state,
+so the same forms check that it is canonical (one matrix, however it is
+spelled, gives equal pairings with equal hashes) and that the Fraction
+view ``entries`` is built on its first read, not by a query.
 """
 
 import math
@@ -17,8 +20,9 @@ from fractions import Fraction
 import pytest
 
 from folcan.errors import SingularMatrix
-from folcan.exact_core import SymmetricPairing, solve_linear
+from folcan.exact_core import SymmetricPairing, format_rational, solve_linear
 from folcan.surface_model import ResolutionData, SurfaceModel, mumford_pullback, weil_intersect
+from test_congruence_oracle import chain
 
 F = Fraction
 DENOMINATORS = (1, 2, 3, 4, 5, 6)
@@ -190,3 +194,65 @@ def test_pullbacks_and_intersections_equal_the_fraction_oracle():
             assert all(type(a) is F for a in p1 + p2)
             value = weil_intersect(res, u, v)
             assert value == dot(p1, matvec(rows, p2)) and type(value) is F
+
+
+def test_one_matrix_is_one_pairing_however_it_is_spelled():
+    rng = random.Random(64)
+    built = []
+    for rows in rational_forms():
+        n, scale = len(rows), fresh_scale(rows)
+        # the form, and the form times its scale, whose own scale is 1
+        for matrix, own_scale in ((rows, scale), ([[int(a * scale) for a in row] for row in rows], 1)):
+            exact = [[F(a) for a in row] for row in matrix]
+            # the matrix at shuffled positions of a larger rational form with its own denominators
+            extra = rng.randint(1, 3)
+            big, positions = symmetric(rng, n + extra), rng.sample(range(n + extra), n)
+            for a, i in enumerate(positions):
+                for b, j in enumerate(positions):
+                    big[i][j] = exact[a][b]
+            pairing = SymmetricPairing.from_rows(exact)
+            for spelling in (
+                SymmetricPairing.from_rows([[int(a) if a.denominator == 1 else a for a in row] for row in exact]),
+                SymmetricPairing.from_rows([[format_rational(a) for a in row] for row in exact]),
+                SymmetricPairing.from_rows(big).restrict(positions),
+            ):
+                assert spelling == pairing and hash(spelling) == hash(pairing)
+                assert spelling._numerators == pairing._numerators and spelling._scale == own_scale
+            built.append((exact, pairing))
+            if n:
+                i, j = rng.randrange(n), rng.randrange(n)
+                changed = [list(row) for row in exact]
+                changed[i][j] = changed[j][i] = exact[i][j] + F(1, rng.choice(DENOMINATORS))
+                built.append((changed, SymmetricPairing.from_rows(changed)))
+                assert built[-1][1] != pairing
+    # pairings are equal exactly when their matrices are
+    unequal = 0
+    for a, (rows_a, p) in enumerate(built):
+        for rows_b, q in built[a + 1 :]:
+            assert (p == q) == (rows_a == rows_b)
+            unequal += p != q
+    assert unequal > len(built) ** 2 // 3
+
+
+def test_queries_leave_the_fraction_view_unbuilt():
+    # a (-2)-chain of length 12 with a strict (-1)-curve meeting each end
+    length, n = 12, 14
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0] = rows[1][1] = -1
+    rows[0][2] = rows[2][0] = rows[1][n - 1] = rows[n - 1][1] = 1
+    for i, row in enumerate(chain(length)):
+        rows[2 + i][2:] = row
+    model = SurfaceModel(tuple(f"c{i}" for i in range(n)), SymmetricPairing.from_rows(rows))
+    cases = [(rows, ResolutionData(model, tuple(range(2, n))))]
+    for rows, res in cases + list(resolutions(random.Random(65))):
+        n, exceptional = len(rows), res.exceptional_indices
+        exact = [[F(a) for a in row] for row in rows]
+        strict = [a for a in range(n) if a not in exceptional]
+        u, v = (tuple(int(k == a) for k in range(n)) for a in (strict[0], strict[-1]))
+        pulled = oracle_pullback(exact, exceptional, u), oracle_pullback(exact, exceptional, v)
+        assert weil_intersect(res, u, v) == dot(pulled[0], matvec(exact, pulled[1]))
+        ambient, gram = res.ambient.pairing, res.exceptional_gram
+        assert "entries" not in vars(ambient) and "entries" not in vars(gram)
+        assert ambient.entries == tuple(tuple(map(F, row)) for row in rows)
+        assert gram.entries == tuple(tuple(F(rows[i][j]) for j in exceptional) for i in exceptional)
+        assert all(type(a) is F for row in ambient.entries + gram.entries for a in row)

@@ -69,7 +69,7 @@ def test_rows_read_on_demand_equal_the_full_scan():
         whole = SymmetricPairing.from_rows(rows)
         lazy = SymmetricPairing.from_rows(rows)
         if rows is forms[-1]:
-            zeros = [a for row in lazy.entries for a in row if a == 0]
+            zeros = [a for row in rows for a in row if a == 0]
             assert len(zeros) > 1 and len(set(map(id, zeros))) == len(zeros)
         # the rows hold numerators over the scale: the Fraction entries times _scale
         scale = whole._scale
