@@ -174,6 +174,8 @@ class EnumerationQuery:
             if isinstance(value, numbers.Real) and value < 0:  # a negative size keeps its own message
                 raise InvalidInput(f"{name} must be nonnegative, got {value!r}")
             check_int(value, name)
+        if not isinstance(self.q_index_divides, bool):
+            raise InvalidInput(f"q_index_divides must be a bool, got {self.q_index_divides!r}")
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,14 @@ A pairing is factored at most once: its first :func:`signature` or
 :func:`solve_linear` call computes the congruence P^T A P = D
 (:attr:`SymmetricPairing.congruence`) and keeps it on the instance, so the
 inertia and every later solve read the same factor. The factor is held in
-integers: each step's coefficient and each diagonal entry is a reduced
-numerator/denominator pair. Elimination and solving keep their working
-values as Python ints and normalise once (one gcd) per row update, per
-forward update and per pivot run of the backward pass, the
-integer-preserving idea of Bareiss's fraction-free elimination, and build
-Fractions only for what they return.
+integers and recorded once: P as one run of column operations per pivot,
+in elimination order, whose coefficients share the pivot's denominator,
+and D as reduced numerator/denominator pairs. A solve reads the runs
+forward as scatters and backward as gathers. Elimination and solving
+keep their working values as Python ints and normalise once (one gcd)
+per row update, per forward update and per run of the backward pass,
+the integer-preserving idea of Bareiss's fraction-free elimination, and
+build Fractions only for what they return.
 
 Rationals cross every file boundary as the canonical string ``p/q`` (bare
 ``p`` when the denominator is 1); :func:`parse_rational` is strict about the
@@ -295,24 +297,22 @@ class SymmetricPairing:
 
     @cached_property
     def congruence(self) -> tuple[
-        tuple[tuple[int, int, int, int], ...],
-        tuple[tuple[int, int], ...],
         tuple[tuple[int, tuple[tuple[int, int], ...], int], ...],
+        tuple[tuple[int, int], ...],
     ]:
         """Symmetric congruence P^T A P = D in integers, computed once and kept on the instance.
 
-        Returns ``(steps, diagonal, runs)``. P is the product, in order, of
-        the column operations ``(target, source, p, q)``: column ``target``
-        += p/q * column ``source``, with q > 0 and p/q in lowest terms;
+        Returns ``(runs, diagonal)``. P is the product, in elimination order,
+        of the runs' column operations: a run ``(k, terms, m)`` adds
+        c/m * column k to column l for each ``(l, c)`` in ``terms``, so a
+        run's coefficients share its pivot's denominator m (which may be
+        negative). A pivot's run has m = a_kk and c = -a_kl in the pivot
+        row's integer scale; the hyperbolic step e_i -> e_i + e_j is the
+        run ``(j, ((i, 1),), 1)``; along a chain every run has one term.
         ``diagonal[k]`` is D's entry at position k as the reduced pair
         ``(numerator, denominator)``, so a zero entry is always ``(0, 1)``.
-        ``runs`` are the same steps transposed, in reverse order and grouped
-        by the entry they write, for the backward pass of
-        :func:`solve_linear`: a run ``(k, terms, m)`` adds
-        sum(c * x[l] for l, c in terms) / m to x[k]. A pivot's run has
-        m = a_kk and c = -a_kl in the pivot row's integer scale, one common
-        denominator for all its steps; a hyperbolic step is a run of its
-        own. Along a chain every run has one term.
+        :func:`solve_linear` reads the runs forward as scatters and
+        backward as gathers.
         Elimination starts from the integer rows of :attr:`nonzeros`, each
         over :attr:`_scale`, keeps each row as integer numerators over one
         positive row denominator, touches each row's nonzeros only (after
@@ -321,15 +321,15 @@ class SymmetricPairing:
         after each update, so no rational is built per multiply-add.
         Pivots are taken in position order; a zero diagonal forces either a
         symmetric swap to a later nonzero diagonal or, when every remaining
-        diagonal is zero, the hyperbolic step e_i -> e_i + e_j for a nonzero
-        a_ij, which makes the new diagonal 2 a_ij. A remaining block that is
+        diagonal is zero, the hyperbolic step for a nonzero a_ij, which
+        makes the new diagonal 2 a_ij. A remaining block that is
         identically zero contributes zeros to D.
         """
         n = self.dimension
         rows = list(map(dict, self.nonzeros))
         dens = [self._scale] * n
         diagonal = [(0, 1)] * n
-        steps, runs = [], []
+        runs = []
 
         def settle(i: int, row: dict, den: int) -> None:
             # divide row i and den by their gcd, signed so den > 0, and drop zeros
@@ -347,7 +347,6 @@ class SymmetricPairing:
                 # hyperbolic step e_k -> e_k + e_j: row k becomes row k + row j,
                 # column k of every other row becomes column k + column j
                 j = min(rows[k])
-                steps.append((k, j, 1, 1))
                 runs.append((j, ((k, 1),), 1))
                 rk, rj, dk, dj = rows[k], rows[j], dens[k], dens[j]
                 new = {m: rk.get(m, 0) * dj + rj.get(m, 0) * dk for m in rk.keys() | rj.keys()}
@@ -367,11 +366,8 @@ class SymmetricPairing:
             for l, a in sorted(pivot_row.items()):
                 if l == k:
                     continue
-                terms.append((l, -a))
                 # e_l -> e_l - (a_kl / a_kk) e_k; row l becomes its Schur update
-                g = gcd(a, head)
-                p, q = -a // g, head // g
-                steps.append((l, k, p, q) if q > 0 else (l, k, -p, -q))
+                terms.append((l, -a))
                 c = rows[l][k]
                 new = {m: x * head for m, x in rows[l].items()}
                 for m, x in pivot_row.items():
@@ -379,21 +375,7 @@ class SymmetricPairing:
                 settle(l, new, dens[l] * head)
             if terms:
                 runs.append((k, tuple(terms), head))
-        return tuple(steps), tuple(diagonal), tuple(reversed(runs))
-
-
-def _add_multiples(num: list, den: list, updates) -> None:
-    """x[into] += p/q * x[outof] for each ``(into, outof, p, q)``, keeping num[i]/den[i] in lowest terms.
-
-    A denominator may be negative; the value is exact either way.
-    """
-    for into, outof, p, q in updates:
-        a = num[outof]
-        if a:
-            b, d, e = num[into], den[into], den[outof]
-            top, bottom = b * q * e + p * a * d, d * q * e
-            g = gcd(top, bottom)
-            num[into], den[into] = top // g, bottom // g
+        return tuple(runs), tuple(diagonal)
 
 
 def _add_runs(num: list, den: list, runs) -> None:
@@ -401,8 +383,7 @@ def _add_runs(num: list, den: list, runs) -> None:
 
     Every x[l] a run reads is final. The terms are summed over each
     distinct denominator of their x[l] first, and those sums over their
-    lcm, so x[k] is reduced once. A run of one term costs what one update
-    of :func:`_add_multiples` costs.
+    lcm, so x[k] is reduced once; a run of one term skips the grouping.
     """
     for k, terms, m in runs:
         if len(terms) == 1:
@@ -433,29 +414,37 @@ def _add_runs(num: list, den: list, runs) -> None:
 def solve_linear(pairing: SymmetricPairing, rhs: Sequence) -> Vector:
     """Solve A x = b exactly through the pairing's cached congruence.
 
-    With P^T A P = D, x = P D^-1 P^T b: a forward pass over the recorded
-    column operations, a diagonal scaling and a backward pass, each over
-    nonzeros only. The passes run on integer numerators and denominators.
-    The forward pass normalises each update by one gcd; the backward pass
-    sums each pivot's run of updates over the pivot's denominator and
-    normalises once per run. Fractions are built only for the
-    returned tuple. Raises :class:`SingularMatrix` when D has a zero entry,
-    i.e. exactly when A is singular.
+    With P^T A P = D, x = P D^-1 P^T b, over nonzeros only and on integer
+    numerators and denominators (a denominator may be negative). The
+    forward pass applies P^T: it reads the runs in elimination order and
+    scatters x[k] of each run ``(k, terms, m)`` as x[l] += c * x[k] / m,
+    one gcd per update. D^-1 scales each entry; the backward pass applies
+    P through :func:`_add_runs` over the runs in reverse. Fractions are
+    built only for the returned tuple. Raises :class:`SingularMatrix` when
+    D has a zero entry, i.e. exactly when A is singular.
     """
     num, d = _integer_form(rhs)
     pairing._check_length(num)
-    steps, diagonal, runs = pairing.congruence
+    runs, diagonal = pairing.congruence
     if (0, 1) in diagonal:
         raise SingularMatrix("pairing matrix is singular", column=diagonal.index((0, 1)))
     num, den = list(num), [d] * len(num)
-    _add_multiples(num, den, steps)
+    for k, terms, m in runs:
+        a = num[k]
+        if a:
+            e = den[k] * m
+            for l, c in terms:
+                b, d = num[l], den[l]
+                top, bottom = b * e + c * a * d, d * e
+                g = gcd(top, bottom)
+                num[l], den[l] = top // g, bottom // g
     for k, (p, q) in enumerate(diagonal):
         a = num[k]
         if a:
             top, bottom = a * q, den[k] * p
             g = gcd(top, bottom)
             num[k], den[k] = top // g, bottom // g
-    _add_runs(num, den, runs)
+    _add_runs(num, den, reversed(runs))
     return tuple(map(Fraction, num, den))
 
 
@@ -466,7 +455,7 @@ def signature(pairing: SymmetricPairing) -> tuple[int, int, int]:
     counts of D are invariants of the form; they are read off the integer
     numerators of the factor's diagonal.
     """
-    diagonal = pairing.congruence[1]
+    _, diagonal = pairing.congruence
     positives = sum(p > 0 for p, _ in diagonal)
     negatives = sum(p < 0 for p, _ in diagonal)
     return (positives, negatives, len(diagonal) - positives - negatives)

@@ -185,6 +185,7 @@ class HilbertFunction:
         object.__setattr__(self, "k1", as_rational(self.k1))
         object.__setattr__(self, "k2", as_rational(self.k2))
         object.__setattr__(self, "correction", tuple(as_rational(c) for c in self.correction))
+        check_int(self.chi, "chi", None)
         check_int(self.period, "period", 1)
         if len(self.correction) != self.period:
             raise InvalidInput(

@@ -143,6 +143,9 @@ def test_query_validation():
         EnumerationQuery(k1=F(1), k2=F(0), s=0, chi_set=frozenset({1}), basket_cap=1)
     with pytest.raises(InvalidInput):
         EnumerationQuery(k1=F(1), k2=F(0), s=1, chi_set=frozenset({1}), basket_cap=-1)
+    for flag in ("no", 1, 0, None):
+        with pytest.raises(InvalidInput, match="q_index_divides must be a bool"):
+            EnumerationQuery(k1=F(1), k2=F(0), s=4, chi_set=frozenset({0}), basket_cap=2, q_index_divides=flag)
 
 
 def test_query_rejects_non_integer_sizes():

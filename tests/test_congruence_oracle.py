@@ -166,6 +166,33 @@ def test_dense_negative_grams_match_the_oracle():
         check_against_oracle(dense_negative(rng, n), rng)
 
 
+def test_the_runs_rebuild_the_congruence():
+    """P rebuilt from the runs alone carries A to the recorded diagonal, exactly."""
+    rng = random.Random(1019)
+    lengths = (1, 2, 9, 33)
+    forms = random_forms() + [chain(n) for n in lengths] + [dense_negative(rng, n) for n in (3, 8)]
+    hyperbolic = 0  # runs of the hyperbolic step's shape (j, ((i, 1),), 1)
+    for rows in forms:
+        runs, diagonal = SymmetricPairing.from_rows(rows).congruence
+        n = len(rows)
+        p = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+        for k, terms, m in runs:
+            assert m != 0 and terms and all(c != 0 and l != k for l, c in terms)
+            hyperbolic += m == 1 and len(terms) == 1 and terms[0][1] == 1
+            for l, c in terms:
+                for row in p:
+                    row[l] += F(c, m) * row[k]
+        columns = list(zip(*p))
+        images = [matvec(rows, v) for v in columns]
+        d = [[sum((a * b for a, b in zip(u, image)), F(0)) for image in images] for u in columns]
+        assert all(q > 0 and math.gcd(num, q) == 1 for num, q in diagonal)
+        assert d == [[F(*diagonal[i]) if i == j else 0 for j in range(n)] for i in range(n)]
+    assert hyperbolic > 0
+    for n in lengths:
+        runs, _ = SymmetricPairing.from_rows(chain(n)).congruence
+        assert len(runs) == n - 1 and all(len(terms) == 1 for _, terms, _ in runs)
+
+
 def a_chain_model(length, meets):
     """Strict curves of square -1, curve a meeting the chain curve meets[a] (1-based)."""
     ns = len(meets)

@@ -225,6 +225,9 @@ def test_function_validation():
         HilbertFunction(k1=F(1), k2=F(0), chi=1, period=2, correction=(F(0),))
     with pytest.raises(InvalidInput):
         HilbertFunction(k1=F(1), k2=F(0), chi=1, period=0, correction=())
+    for chi in (True, 0.5, F(1, 2)):
+        with pytest.raises(InvalidInput, match="chi must be an integer"):
+            HilbertFunction(k1=F(1), k2=F(0), chi=chi, period=2, correction=(F(0), F(-1, 2)))
 
 
 def test_equality_across_periods():
