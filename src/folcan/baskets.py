@@ -177,13 +177,6 @@ class Basket:
     def of(cls, *profiles: LocalProfile) -> "Basket":
         return cls(tuple(profiles))
 
-    @classmethod
-    def _canonical(cls, profiles: tuple[LocalProfile, ...]) -> "Basket":
-        # a basket of profiles already in canonical order, built without the sort
-        basket = object.__new__(cls)
-        object.__setattr__(basket, "profiles", profiles)
-        return basket
-
     def __iter__(self) -> Iterator[LocalProfile]:
         return iter(self.profiles)
 

@@ -17,17 +17,18 @@ integrality nor the correction table, and the accepted functions are then
 expanded over the requested chi values. A cusp adds the integer -1 at every
 m >= 1, so the index and the integrality of a basket depend only on its
 finite-index part, and the scan yields each part's cusp variants in one
-consecutive group. The search walks the scan one group at a time and decides
-the part on its cusp-free basket: it is out if its index does not match or
-if P(1) is not an integer, a screen summed in integers from the m = 1 entry
-of each letter's ``term_numerators`` that builds no numerics. The variants
-of a part that passes get the full integrality check in turn, and the first
-failure ends the group. A query whose index s is above
+consecutive group. The search walks the scan one group at a time, in step
+with the part's letter positions in the alphabet, and decides the part from
+per-letter integers: it is out if the lcm of its letters' indices does not
+match s, or if P(1), a sum of its letters' m = 1 terms, is not an integer.
+The variants of a part that passes get the full integrality check in turn,
+and the first failure ends the group. A query whose index s is above
 ``riemann_roch.MAX_PERIOD`` (with cap >= 1), that spans more than
 :data:`MAX_BASKETS` baskets or that asks for more than :data:`MAX_CHI` chi
 values is refused before any basket is generated. Accepted functions merge
-on their canonical form, the chi = 0 function, and each result is built
-once per chi from that form.
+on their canonical form, the chi = 0 function, kept as its integer
+corrections at the minimal period; each result is built once per chi from
+those integers, and the results of one form share its correction tuple.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .baskets import (
     cusp,
     dihedral_half,
     dihedral_zero,
-    q_index,
     terminal_cyclic,
 )
 from .errors import InvalidInput, NonPositiveVolume
@@ -144,12 +144,25 @@ def enumerate_baskets(s: int, cap: int, max_cusps: int) -> Iterator[Basket]:
     shared_cusp = cusp()  # one instance, so its cached term table is built once
     runs = [(shared_cusp,) * cusps for cusps in range(max_cusps + 1)]
     cusp_key, sort_key = shared_cusp.sort_key, operator.attrgetter("sort_key")
+    new, put = object.__new__, object.__setattr__
     for size in range(cap + 1):
         for combo in itertools.combinations_with_replacement(letters, size):
             at = bisect.bisect_left(combo, cusp_key, key=sort_key)
             head, tail = combo[:at], combo[at:]
             for run in runs:
-                yield Basket._canonical(head + run + tail)
+                basket = new(Basket)  # canonical already, so built without the sort
+                put(basket, "profiles", head + run + tail)
+                yield basket
+
+
+def _positions(count: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """The finite-index parts of :func:`enumerate_baskets` as positions into its alphabet.
+
+    Part i is the tuple of alphabet indices of the i-th group's cusp-free
+    basket, in the same order, for an alphabet of ``count`` letters.
+    """
+    for size in range(cap + 1):
+        yield from itertools.combinations_with_replacement(range(count), size)
 
 
 @dataclass(frozen=True)
@@ -217,15 +230,17 @@ def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]
 
     The scan is walked one finite-index part (a basket without its cusps) at
     a time, as the group of its cusp variants that :func:`enumerate_baskets`
-    yields in a row. The part is decided on the group's cusp-free basket: it
-    is out when its ``q_index`` does not match s, or when P(1) is not an
-    integer, tested in integers from the m = 1 entry of each letter's
-    ``term_numerators`` without a ``ModelNumerics``. Each variant of a part
-    that is in gets one integrality check and, if accepted, one compression,
-    both at chi = 0; the first failed check ends the group. Functions merge
-    on their canonical form (the chi = 0 function at its minimal period); a
-    merged function is extrapolated if any witness is. Each result is built
-    from that form once per chi in ``chi_set``.
+    yields in a row, in step with the part's letter positions
+    (:func:`_positions`). A part is out when the lcm of its letters' indices
+    does not match s, or when P(1) is not an integer, summed from its
+    letters' m = 1 terms over a common denominator. Both tests read integer
+    arrays built once per query, one entry per letter. Each variant of a
+    part that is in gets one integrality check and, if accepted, one
+    compression, both at chi = 0; the first failed check ends the group.
+    Functions merge on their canonical form (the chi = 0 function at its
+    minimal period), held as its integer corrections; a merged function is
+    extrapolated if any witness is. Each result is built from those
+    integers once per chi in ``chi_set``.
     """
     if query.k1 <= 0:
         raise NonPositiveVolume(f"leading self-intersection must be positive, got {query.k1}")
@@ -246,36 +261,45 @@ def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]
             chi_values=len(query.chi_set),
             limit=MAX_CHI,
         )
-    # den P(1) = a - b + den (chi - cusps) + den times each letter's m = 1
-    # term t[1 % len(t)] / d, an integer since den is a multiple of every d
+    # per letter: its index, and den times its m = 1 term t[1 % len(t)] / d,
+    # an integer since den is a multiple of every d; den P(1) = a - b +
+    # den (chi - cusps) + the part's weights, so P(1) is an integer exactly
+    # when the weights sum to b - a mod den
     den, a, b = quadratic_numerators(query.k1, query.k2, *(p.term_numerators[0] for p in letters))
+    index = [p.local_index or 1 for p in letters].__getitem__
+    weight = [t[1 % len(t)] * (den // d) for d, t in (p.term_numerators for p in letters)].__getitem__
+    s, divides, target = query.s, query.q_index_divides, (b - a) % den
     found: dict[tuple, list] = {}
     # a cusp adds the integer -1 at every m >= 1, so the part alone decides
-    # the index and the integrality of every variant in its group
-    scan = enumerate_baskets(query.s, cap, max_cusps)
-    for variants in zip(*[scan] * (max_cusps + 1)):
-        idx = q_index(variants[0])
-        if not (idx == query.s or (query.q_index_divides and query.s % idx == 0)):
-            continue
-        terms = (p.term_numerators for p in variants[0].profiles)
-        if (a - b + sum(t[1 % len(t)] * (den // d) for d, t in terms)) % den:
+    # the index and the integrality of every variant in its group; the scan
+    # goes first, so it is read to its end
+    scan = enumerate_baskets(s, cap, max_cusps)
+    for *variants, part in zip(*[scan] * (max_cusps + 1), _positions(len(letters), cap)):
+        idx = math.lcm(*map(index, part))
+        if not (idx == s or (divides and s % idx == 0)) or sum(map(weight, part)) % den != target:
             continue
         for basket in variants:
             numerics = ModelNumerics(k1=query.k1, k2=query.k2, chi=0, basket=basket)
             if not integrality_check(numerics):
                 break
             func = to_hilbert_function(numerics)
-            entry = found.setdefault(func.canonical_form(), [False, []])
+            *_, minimal, correction = func.canonical_form()
+            # the integer corrections at the minimal period, over the least
+            # common denominator D of the corrections: one-to-one with them
+            den_f, _, _, c = func._integer_form
+            entry = found.setdefault((den_f, c[:minimal]), [False, [], correction])
             entry[0] |= func.extrapolated
             entry[1].append(basket)
-    merged = [
-        (key, flag, tuple(sorted(witnesses, key=_basket_sort_key)))
-        for key, (flag, witnesses) in sorted(found.items())
-    ]
+    # canonical order: by minimal period, then by the corrections
+    merged = sorted(
+        (len(correction), correction, den_f, raw, flag, tuple(sorted(witnesses, key=_basket_sort_key)))
+        for (den_f, raw), (flag, witnesses, correction) in found.items()
+    )
     return tuple(
         EnumeratedFunction(
-            function=HilbertFunction(k1, k2, chi, period, correction, flag), witnesses=witnesses
+            function=HilbertFunction._from_integers(query.k1, query.k2, chi, raw, den_f, flag, correction),
+            witnesses=witnesses,
         )
         for chi in sorted(query.chi_set)
-        for (k1, k2, _, period, correction), flag, witnesses in merged
+        for _, correction, den_f, raw, flag, witnesses in merged
     )

@@ -77,16 +77,17 @@ class ModelNumerics:
 
     @functools.cached_property
     def _table(self) -> HilbertFunction:
-        # hilbert_table's one table, built once, after the period limit
+        # hilbert_table's one table, built once, after the period limit; the
+        # corrections are summed as integers over the letters' common den
         period = check_period(q_index(self.basket))
         tables = [p.term_numerators for p in self.basket.profiles]
         den = math.lcm(*(d for d, _ in tables))
         rows = ([den // d * x for x in t] * (period // len(t)) for d, t in tables)
-        correction = tuple(Fraction(x, den) for x in map(sum, zip([0] * period, *rows)))
+        raw = tuple(map(sum, zip([0] * period, *rows)))  # den times each correction
         # every index n divides T, and residue 2 lies outside {0, 1, n - 1} exactly
         # when some residue does (n >= 4), so m = 2 decides the flag for m in [1, T]
         flagged = basket_uses_extrapolation(self.basket, 2)
-        return HilbertFunction(self.k1, self.k2, self.chi, period, correction, extrapolated=flagged)
+        return HilbertFunction._from_integers(self.k1, self.k2, self.chi, raw, den, flagged)
 
 
 def hilbert_value(num: ModelNumerics, m: int) -> Fraction:
@@ -191,6 +192,31 @@ class HilbertFunction:
             raise InvalidInput(
                 f"correction table has length {len(self.correction)}, period is {self.period}"
             )
+        if not isinstance(self.extrapolated, bool):
+            raise InvalidInput(f"extrapolated must be a bool, got {self.extrapolated!r}")
+
+    @classmethod
+    def _from_integers(cls, k1, k2, chi, raw, den, extrapolated, correction=None) -> "HilbertFunction":
+        """The function with corrections raw[r] / den, for checked ints and Fractions.
+
+        Its integer form is preset to the one ``_integer_form`` derives, over
+        D = lcm(2 den(k1), 2 den(k2), den / gcd(den, *raw)). One Fraction is
+        built per distinct numerator, unless ``correction`` (raw[r] / den in
+        order) is given; that tuple is then shared, and so is ``raw`` if den = D.
+        """
+        lowest = den // math.gcd(den, *raw)  # the corrections' own common denominator
+        lcd, a, b = quadratic_numerators(k1, k2, lowest)
+        c = raw if lcd == den else tuple(x // (den // lowest) * (lcd // lowest) for x in raw)
+        if correction is None:
+            fractions = {x: Fraction(x, den) for x in set(raw)}
+            correction = tuple(map(fractions.__getitem__, raw))
+        func = object.__new__(cls)
+        for name, value in zip(
+            ("k1", "k2", "chi", "period", "correction", "extrapolated", "_integer_form"),
+            (k1, k2, chi, len(raw), correction, extrapolated, (lcd, a, b, c)),
+        ):
+            object.__setattr__(func, name, value)
+        return func
 
     @functools.cached_property
     def _integer_form(self) -> tuple[int, int, int, tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -370,3 +371,25 @@ def test_enumerate_baskets_groups_each_part_with_its_cusps():
             parts = {tuple(p for p in b if p.kind is not SingularityKind.NON_QGOR_CUSP) for b in chunk}
             cusps = [sum(p.kind is SingularityKind.NON_QGOR_CUSP for p in b) for b in chunk]
             assert len(parts) == 1 and cusps == list(range(max_cusps + 1)), (s, cap, max_cusps, chunk)
+
+
+def test_positions_walk_in_step_with_the_scan():
+    # enumerate_hilbert decides each group of the scan on the positions that
+    # _positions yields beside it: the letters at those positions must be the
+    # group's cusp-free basket, and both walks must end together
+    from folcan.bounds import _positions
+
+    rng = random.Random(20261019)
+    cases = [(1, 3, 0), (1, 0, 2), (7, 3, 1), (60, 0, 0), (60, 2, 2), (60, 3, 1)]
+    cases += [(rng.choice((1, 3, 5, 6, 12, 15, 30, 60)), rng.randint(0, 4), rng.randint(0, 2)) for _ in range(10)]
+    for s, cap, max_cusps in cases:
+        letters = basket_alphabet(s)
+        scan = enumerate_baskets(s, cap, max_cusps)
+        positions = _positions(len(letters), cap)
+        groups = 0
+        for group in zip(*[scan] * (max_cusps + 1)):
+            part = next(positions)
+            assert tuple(letters[i] for i in part) == group[0].profiles, (s, cap, max_cusps, part)
+            groups += 1
+        assert next(positions, None) is None and next(scan, None) is None, (s, cap, max_cusps)
+        assert groups == math.comb(len(letters) + cap, cap)

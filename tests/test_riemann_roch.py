@@ -228,6 +228,40 @@ def test_function_validation():
     for chi in (True, 0.5, F(1, 2)):
         with pytest.raises(InvalidInput, match="chi must be an integer"):
             HilbertFunction(k1=F(1), k2=F(0), chi=chi, period=2, correction=(F(0), F(-1, 2)))
+    for flag in ("no", 1, None):
+        with pytest.raises(InvalidInput, match="extrapolated must be a bool"):
+            HilbertFunction(k1=F(1), k2=F(0), chi=1, period=1, correction=(F(0),), extrapolated=flag)
+
+
+def test_from_integers_equals_the_public_constructor():
+    # the enumeration's constructor against HilbertFunction(...) on the same
+    # table: raw ints sharing a factor with den, negative entries, period 1,
+    # rational k1 and k2
+    from folcan.serialization import dumps, hilbert_function_to_json
+
+    rng = random.Random(20261019)
+    cases = [(F(1), F(0), 0, (0,), 1), (F(1), F(0), 3, (-6, 0, -6), 12), (F(3, 4), F(1, 2), -2, (4, -2), 6)]
+    for _ in range(200):
+        den = rng.choice((1, 2, 4, 6, 12, 30, 60, 120))
+        period = rng.choice((1, 1, 2, 3, 4, 6, 12))
+        raw = tuple(rng.choice((0, 1, den)) * rng.randint(-9, 3) for _ in range(period))
+        k1 = F(rng.randint(1, 9), rng.choice((1, 2, 3, 4)))
+        k2 = F(rng.randint(-9, 9), rng.choice((1, 2, 5)))
+        cases.append((k1, k2, rng.randint(-3, 3), raw, den))
+    for k1, k2, chi, raw, den in cases:
+        for flag in (False, True):
+            fast = HilbertFunction._from_integers(k1, k2, chi, raw, den, flag)
+            public = HilbertFunction(k1, k2, chi, len(raw), tuple(F(x, den) for x in raw), flag)
+            shared = HilbertFunction._from_integers(k1, k2, chi, raw, den, flag, public.correction)
+            assert shared.correction is public.correction
+            for h in (fast, shared):
+                assert dataclasses.astuple(h) == dataclasses.astuple(public)
+                assert [type(x) for x in h.correction] == [Fraction] * len(raw)
+                assert vars(h)["_integer_form"] == public._integer_form
+                assert h.canonical_form() == public.canonical_form() and h == public
+                assert hash(h) == hash(public)
+                assert h.value_texts(30) == public.value_texts(30)
+                assert dumps(hilbert_function_to_json(h)) == dumps(hilbert_function_to_json(public))
 
 
 def test_equality_across_periods():
