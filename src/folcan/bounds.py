@@ -17,11 +17,14 @@ integrality nor the correction table, and the accepted functions are then
 expanded over the requested chi values. A cusp adds the integer -1 at every
 m >= 1, so the index and the integrality of a basket depend only on its
 finite-index part, and the scan yields each part's cusp variants in one
-consecutive group. The search walks the scan one group at a time, in step
-with the part's letter positions in the alphabet, and decides the part from
-per-letter integers: it is out if the lcm of its letters' indices does not
-match s, or if P(1), a sum of its letters' m = 1 terms, is not an integer.
-The variants of a part that passes get the full integrality check in turn,
+consecutive group. Each part is decided from per-letter integers: it is
+out if the lcm of its letters' indices does not match s, or if P(1), a sum
+of its letters' m = 1 terms, is not an integer. Parts come in lexicographic
+order, so each is its prefix plus one letter, and the decisions are made
+level by level on (lcm, weight) states of the prefixes, one boolean per
+part. ``itertools.compress`` pairs the scan's groups with them, so the scan
+is read to its end in C and the search's Python loop runs only over the
+groups that pass. Their variants get the full integrality check in turn,
 and the first failure ends the group. A query whose index s is above
 ``riemann_roch.MAX_PERIOD`` (with cap >= 1), that spans more than
 :data:`MAX_BASKETS` baskets or that asks for more than :data:`MAX_CHI` chi
@@ -143,26 +146,19 @@ def enumerate_baskets(s: int, cap: int, max_cusps: int) -> Iterator[Basket]:
     letters = basket_alphabet(s) if cap else ()
     shared_cusp = cusp()  # one instance, so its cached term table is built once
     runs = [(shared_cusp,) * cusps for cusps in range(max_cusps + 1)]
-    cusp_key, sort_key = shared_cusp.sort_key, operator.attrgetter("sort_key")
+    # the letters that sort before a cusp are a prefix of the alphabet, so a
+    # combination's cusp slot is the count of its positions below that prefix's end
+    low = bisect.bisect_left(letters, shared_cusp.sort_key, key=operator.attrgetter("sort_key"))
     new, put = object.__new__, object.__setattr__
     for size in range(cap + 1):
-        for combo in itertools.combinations_with_replacement(letters, size):
-            at = bisect.bisect_left(combo, cusp_key, key=sort_key)
+        combos = itertools.combinations_with_replacement(letters, size)
+        for combo, pos in zip(combos, itertools.combinations_with_replacement(range(len(letters)), size)):
+            at = bisect.bisect_left(pos, low)
             head, tail = combo[:at], combo[at:]
             for run in runs:
                 basket = new(Basket)  # canonical already, so built without the sort
                 put(basket, "profiles", head + run + tail)
                 yield basket
-
-
-def _positions(count: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """The finite-index parts of :func:`enumerate_baskets` as positions into its alphabet.
-
-    Part i is the tuple of alphabet indices of the i-th group's cusp-free
-    basket, in the same order, for an alphabet of ``count`` letters.
-    """
-    for size in range(cap + 1):
-        yield from itertools.combinations_with_replacement(range(count), size)
 
 
 @dataclass(frozen=True)
@@ -204,7 +200,7 @@ def _basket_sort_key(basket: Basket):
 
 
 # the most baskets one enumerate_hilbert query may span (s = 60, cap = 8,
-# max_cusps = 2 spans 959,310 and takes about 6 s on a 2-core VM); larger
+# max_cusps = 2 spans 959,310 and takes about 2 s on a 2-core VM); larger
 # queries are refused before any basket is generated
 MAX_BASKETS = 1_000_000
 
@@ -213,6 +209,44 @@ MAX_BASKETS = 1_000_000
 # --max-cusps 2`` over 100 chi values prints 13.0 MB of JSON in about 1.3 s
 # on a 2-core VM); larger chi sets are refused before any basket is generated
 MAX_CHI = 100
+
+
+def _part_decisions(query: EnumerationQuery, letters: tuple) -> Iterator[bool]:
+    """One boolean per finite-index part of the query's scan, in scan order: whether it is in.
+
+    ``letters`` is the scan's alphabet. A part is in when the lcm of its
+    letters' indices matches s (divides it, under ``q_index_divides``) and
+    P(1) is an integer. A part of size k is a part of size k - 1 plus one
+    letter at or after its last one, in the order of
+    ``combinations_with_replacement``, so the parts are walked level by
+    level: level k is built from level k - 1 in one comprehension of
+    (lcm, weight mod den, letters still allowed) triples.
+    """
+    # per letter: its index, and den times its m = 1 term t[1 % len(t)] / d,
+    # an integer since den is a multiple of every d; den P(1) = a - b +
+    # den (chi - cusps) + the part's weights, so P(1) is an integer exactly
+    # when the weights sum to b - a mod den
+    den, a, b = quadratic_numerators(query.k1, query.k2, *(p.term_numerators[0] for p in letters))
+    # after[i]: (index, weight, after[j]) of each letter j >= i, the letters
+    # that may follow a part whose last letter is i (after[0] for the empty part)
+    after = [[] for _ in range(len(letters) + 1)]
+    steps = [
+        (p.local_index or 1, t[1 % len(t)] * (den // d), later)
+        for p, (d, t), later in zip(letters, (p.term_numerators for p in letters), after)
+    ]
+    for i, later in enumerate(after):
+        later.extend(steps[i:])
+    lcm = math.lcm
+
+    def grow(level, _):
+        return [(lcm(q, n), (w + x) % den, later) for q, w, follow in level for n, x, later in follow]
+
+    levels = itertools.accumulate(range(query.basket_cap), grow, initial=[(1, 0, after[0])])
+    # every letter's index divides s, so under q_index_divides every lcm does
+    s, divides, target = query.s, query.q_index_divides, (b - a) % den
+    return itertools.chain.from_iterable(
+        [(divides or q == s) and w == target for q, w, _ in level] for level in levels
+    )
 
 
 def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]:
@@ -228,14 +262,15 @@ def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]
     scanning. With cap 0 the alphabet is not built, so the cost does not
     grow with s.
 
-    The scan is walked one finite-index part (a basket without its cusps) at
+    The scan is read one finite-index part (a basket without its cusps) at
     a time, as the group of its cusp variants that :func:`enumerate_baskets`
-    yields in a row, in step with the part's letter positions
-    (:func:`_positions`). A part is out when the lcm of its letters' indices
-    does not match s, or when P(1) is not an integer, summed from its
-    letters' m = 1 terms over a common denominator. Both tests read integer
-    arrays built once per query, one entry per letter. Each variant of a
-    part that is in gets one integrality check and, if accepted, one
+    yields in a row. Each part is decided from its prefix by the level walk
+    of :func:`_part_decisions`: it is out when the lcm of its letters'
+    indices does not match s, or when P(1) is not an integer, summed from
+    its letters' m = 1 terms over a common denominator. ``itertools.compress``
+    pairs each group with its decision, so the scan is read to its end in C
+    and the loop body runs only for the groups that are in. Each variant of
+    such a part gets one integrality check and, if accepted, one
     compression, both at chi = 0; the first failed check ends the group.
     Functions merge on their canonical form (the chi = 0 function at its
     minimal period), held as its integer corrections; a merged function is
@@ -261,23 +296,12 @@ def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]
             chi_values=len(query.chi_set),
             limit=MAX_CHI,
         )
-    # per letter: its index, and den times its m = 1 term t[1 % len(t)] / d,
-    # an integer since den is a multiple of every d; den P(1) = a - b +
-    # den (chi - cusps) + the part's weights, so P(1) is an integer exactly
-    # when the weights sum to b - a mod den
-    den, a, b = quadratic_numerators(query.k1, query.k2, *(p.term_numerators[0] for p in letters))
-    index = [p.local_index or 1 for p in letters].__getitem__
-    weight = [t[1 % len(t)] * (den // d) for d, t in (p.term_numerators for p in letters)].__getitem__
-    s, divides, target = query.s, query.q_index_divides, (b - a) % den
     found: dict[tuple, list] = {}
     # a cusp adds the integer -1 at every m >= 1, so the part alone decides
-    # the index and the integrality of every variant in its group; the scan
-    # goes first, so it is read to its end
-    scan = enumerate_baskets(s, cap, max_cusps)
-    for *variants, part in zip(*[scan] * (max_cusps + 1), _positions(len(letters), cap)):
-        idx = math.lcm(*map(index, part))
-        if not (idx == s or (divides and s % idx == 0)) or sum(map(weight, part)) % den != target:
-            continue
+    # the index and the integrality of every variant in its group; compress
+    # reads the scan before each decision, so the scan is read to its end
+    groups = zip(*[enumerate_baskets(query.s, cap, max_cusps)] * (max_cusps + 1))
+    for variants in itertools.compress(groups, _part_decisions(query, letters)):
         for basket in variants:
             numerics = ModelNumerics(k1=query.k1, k2=query.k2, chi=0, basket=basket)
             if not integrality_check(numerics):

@@ -392,6 +392,7 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
             args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    del parser  # its tree is cyclic garbage; not kept alive through the handler
     try:
         text = _HANDLERS[args.command](args)
     except DocumentError as exc:

@@ -16,7 +16,9 @@ payloads. It writes exactly what ``json.dumps(payload, indent=2,
 sort_keys=True)`` plus a newline writes, in one recursive pass that escapes
 every string with the C ``encode_basestring_ascii`` (the indenting
 ``json.dumps`` falls back to a pure-Python encoder). It takes string keys
-only and writes no floats: the package has neither.
+only and writes no floats: the package has neither. A payload may hold a
+:class:`Basket` or :class:`LocalProfile` as it is, as the enumerate
+document holds its witnesses; its text is made once per indent per call.
 """
 
 from __future__ import annotations
@@ -41,31 +43,52 @@ from .riemann_roch import HilbertFunction, ModelNumerics, window_length
 from .surface_model import ResolutionData, SurfaceModel
 
 
-def _not_serializable(value):
+def _document(value):
+    # dumps' default: the document of a basket or profile held as it is
+    if isinstance(value, Basket):
+        return value.profiles
+    if isinstance(value, LocalProfile):
+        return profile_to_json(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def dumps(payload: Any) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-    Dict keys must be strings and no value may be a float; either raises
-    :class:`TypeError`, as any value JSON cannot hold does.
+    A :class:`Basket` or :class:`LocalProfile` in the payload is written as
+    its document (:func:`basket_to_json`, :func:`profile_to_json`), and
+    each one once per indent, however often the payload repeats it. Dict
+    keys must be strings and no value may be a float; either raises
+    :class:`TypeError`, as any other value JSON cannot hold does.
     """
-    return _write(payload, _not_serializable)
+    return _write(payload, _document)
 
 
 def _write(payload: Any, default: Callable[[Any], Any]) -> str:
     # dumps with json's ``default``: what it returns for a value that is no
-    # dict, list, tuple, str, int, bool or None is written in its place
+    # dict, list, tuple, str, int, bool or None is written in its place. The
+    # text of each such object is made once per indent and reused; the memo
+    # holds the object beside its text, so no id in it is reused in the call
+    memo: dict[tuple[int, str], tuple[Any, str]] = {}
+
+    def render(value, pad: str) -> str:
+        key = (id(value), pad)
+        if key not in memo:
+            parts: list[str] = []
+            _append(parts, "", default(value), pad, render)
+            memo[key] = (value, "".join(parts))
+        return memo[key][1]
+
     chunks: list[str] = []
-    _append(chunks, "", payload, "\n", default)
+    _append(chunks, "", payload, "\n", render)
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _append(chunks: list, head: str, value, pad: str, default) -> None:
+def _append(chunks: list, head: str, value, pad: str, render) -> None:
     # head and then value; pad is the newline and indent of value's line.
-    # A scalar member is one chunk, separator and key included
+    # A scalar member is one chunk, separator and key included; a value JSON
+    # cannot hold is one chunk, its text from render(value, pad)
     if isinstance(value, str):
         chunks.append(head + _quote(value))
     elif isinstance(value, dict):
@@ -80,7 +103,7 @@ def _append(chunks: list, head: str, value, pad: str, default) -> None:
             if type(item) is str:  # most members: no call
                 chunks.append(head + _quote(item))
             else:
-                _append(chunks, head, item, inner, default)
+                _append(chunks, head, item, inner, render)
             head = "," + inner
         chunks.append(pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -90,7 +113,7 @@ def _append(chunks: list, head: str, value, pad: str, default) -> None:
         inner = pad + "  "
         head += "[" + inner
         for item in value:
-            _append(chunks, head, item, inner, default)
+            _append(chunks, head, item, inner, render)
             head = "," + inner
         chunks.append(pad + "]")
     elif value is None:
@@ -100,7 +123,7 @@ def _append(chunks: list, head: str, value, pad: str, default) -> None:
     elif isinstance(value, int):
         chunks.append(head + int.__repr__(value))
     else:
-        _append(chunks, head, default(value), pad, default)
+        chunks.append(head + render(value, pad))
 
 
 def rational_to_json(value) -> str:
@@ -311,10 +334,14 @@ def hilbert_function_from_json(data) -> HilbertFunction:
 
 
 def enumerated_function_to_json(entry: EnumeratedFunction) -> dict:
-    """The function, its witnesses and its values P(0..2L), L = :func:`value_window`."""
+    """The function, its witnesses and its values P(0..2L), L = :func:`value_window`.
+
+    ``witnesses`` is the entry's tuple of :class:`Basket` as it is, which
+    :func:`dumps` writes as one :func:`basket_to_json` document each.
+    """
     h = entry.function
     return {
         "function": hilbert_function_to_json(h),
-        "witnesses": [basket_to_json(b) for b in entry.witnesses],
+        "witnesses": entry.witnesses,
         "values": {str(m): text for m, text in enumerate(h.value_texts(2 * value_window(h)))},
     }

@@ -373,23 +373,34 @@ def test_enumerate_baskets_groups_each_part_with_its_cusps():
             assert len(parts) == 1 and cusps == list(range(max_cusps + 1)), (s, cap, max_cusps, chunk)
 
 
-def test_positions_walk_in_step_with_the_scan():
-    # enumerate_hilbert decides each group of the scan on the positions that
-    # _positions yields beside it: the letters at those positions must be the
-    # group's cusp-free basket, and both walks must end together
-    from folcan.bounds import _positions
+def test_part_decisions_walk_in_step_with_the_scan():
+    # enumerate_hilbert compresses the scan's groups with the decisions that
+    # _part_decisions yields: each must be the verdict of the index and P(1)
+    # tests on the group's own cusp-free basket, and both walks must end together
+    from folcan.bounds import _part_decisions
+    from folcan.riemann_roch import ModelNumerics, hilbert_value
 
     rng = random.Random(20261019)
     cases = [(1, 3, 0), (1, 0, 2), (7, 3, 1), (60, 0, 0), (60, 2, 2), (60, 3, 1)]
     cases += [(rng.choice((1, 3, 5, 6, 12, 15, 30, 60)), rng.randint(0, 4), rng.randint(0, 2)) for _ in range(10)]
+    verdicts = set()
     for s, cap, max_cusps in cases:
-        letters = basket_alphabet(s)
-        scan = enumerate_baskets(s, cap, max_cusps)
-        positions = _positions(len(letters), cap)
-        groups = 0
-        for group in zip(*[scan] * (max_cusps + 1)):
-            part = next(positions)
-            assert tuple(letters[i] for i in part) == group[0].profiles, (s, cap, max_cusps, part)
-            groups += 1
-        assert next(positions, None) is None and next(scan, None) is None, (s, cap, max_cusps)
-        assert groups == math.comb(len(letters) + cap, cap)
+        letters = basket_alphabet(s) if cap else ()
+        for k2, divides in ((F(0), False), (F(1), False), (F(0), True), (F(-3), True)):
+            query = EnumerationQuery(k1=F(1), k2=k2, s=s, chi_set={0}, basket_cap=cap, max_cusps=max_cusps,
+                                     q_index_divides=divides)
+            scan = enumerate_baskets(s, cap, max_cusps)
+            decisions = _part_decisions(query, letters)
+            groups = 0
+            for group in zip(*[scan] * (max_cusps + 1)):
+                part = group[0]
+                index = q_index(part)
+                expected = (index == s or (divides and s % index == 0)) and hilbert_value(
+                    ModelNumerics(k1=query.k1, k2=k2, chi=0, basket=part), 1
+                ).denominator == 1
+                assert next(decisions) == expected, (s, cap, max_cusps, k2, divides, part)
+                groups += 1
+                verdicts.add(expected)
+            assert next(decisions, None) is None and next(scan, None) is None, (s, cap, max_cusps)
+            assert groups == math.comb(len(basket_alphabet(s)) + cap, cap)
+    assert verdicts == {False, True}

@@ -239,6 +239,67 @@ def test_dumps_matches_json_dumps():
             dumps(refused)
 
 
+def test_dumps_writes_each_basket_and_profile_once_per_indent():
+    # an enumerate payload holds its witnesses as Baskets, and repeats them
+    # across chi and their profiles across baskets; dumps writes each as its
+    # document, reusing the text made at the same indent
+    from folcan.serialization import _document, _write, profile_to_json
+
+    shared = terminal_cyclic(5)
+    basket = Basket.of(dihedral_half(), shared, shared, cusp())
+    other = Basket.of(shared)
+    payload = {
+        "a": [basket, {"deeper": [basket, shared]}],
+        "b": shared,
+        "entries": [{"chi": chi, "witnesses": (basket, other)} for chi in range(3)],
+        "empty": Basket(),
+    }
+
+    def expand(value):
+        if isinstance(value, Basket):
+            return basket_to_json(value)
+        if isinstance(value, dict):
+            return {key: expand(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [expand(item) for item in value]
+        return profile_to_json(value) if not isinstance(value, (str, int)) else value
+
+    expected = json.dumps(expand(payload), indent=2, sort_keys=True) + "\n"
+    assert dumps(payload) == expected
+    calls = {}
+
+    def counted(value):
+        calls[id(value)] = calls.get(id(value), 0) + 1
+        return _document(value)
+
+    assert _write(payload, counted) == expected
+    # basket at depths 2 and 4; shared at depths 1, 3 and 5 (in a basket) and 4
+    assert (calls[id(basket)], calls[id(other)], calls[id(shared)]) == (2, 1, 4)
+
+
+def test_write_memo_survives_fresh_objects_from_default():
+    # a default that returns fresh objects holding further objects JSON cannot
+    # hold: each is freed once written unless the memo keeps it, and a later
+    # object at the same address must not reuse its text
+    from folcan.serialization import _write
+
+    class Node:
+        def __init__(self, value):
+            self.value = value
+
+    class Leaf(Node):
+        pass
+
+    def default(value):
+        if isinstance(value, Leaf):
+            return [value.value, str(value.value)]
+        return {"leaf": Leaf(value.value * 3), "twice": [Leaf(value.value), Leaf(-value.value)]}
+
+    payload = [Node(i) for i in range(300)]
+    expected = json.dumps(payload, indent=2, sort_keys=True, default=default) + "\n"
+    assert _write(payload, default) == expected
+
+
 def test_error_payloads_match_json_dumps_with_str_default():
     # cli._error_payload uses dumps' writer; an object JSON cannot hold is written as its str
     from folcan.cli import _error_payload
