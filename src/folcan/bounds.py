@@ -53,7 +53,7 @@ from .baskets import (
     terminal_cyclic,
 )
 from .errors import InvalidInput, NonPositiveVolume
-from .exact_core import as_rational, check_int
+from .exact_core import as_rational, check_int, check_limit
 from .riemann_roch import (
     HilbertFunction,
     ModelNumerics,
@@ -284,18 +284,8 @@ def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]
         check_period(query.s)  # terminal_cyclic(s) is a letter of index s
     letters = basket_alphabet(query.s) if cap else ()
     count = math.comb(len(letters) + cap, cap) * (max_cusps + 1)
-    if count > MAX_BASKETS:
-        raise InvalidInput(
-            f"the query spans {count} baskets, above the limit of {MAX_BASKETS}",
-            baskets=count,
-            limit=MAX_BASKETS,
-        )
-    if len(query.chi_set) > MAX_CHI:
-        raise InvalidInput(
-            f"the query asks for {len(query.chi_set)} chi values, above the limit of {MAX_CHI}",
-            chi_values=len(query.chi_set),
-            limit=MAX_CHI,
-        )
+    check_limit(count, MAX_BASKETS, "baskets", "the query spans {} baskets,")
+    check_limit(len(query.chi_set), MAX_CHI, "chi_values", "the query asks for {} chi values,")
     found: dict[tuple, list] = {}
     # a cusp adds the integer -1 at every m >= 1, so the part alone decides
     # the index and the integrality of every variant in its group; compress

@@ -22,7 +22,9 @@ form, and an integer flag, a ``--chi`` entry (``--chi 0,`` has an empty
 one) or a ``--sweep`` endpoint not written as ``str`` writes the integer
 (ASCII digits, an optional ``-``; no ``+``, padding, leading 0 or ``_``).
 Errors go to stderr as a JSON object
-``{"error": {"code", "message", "context"}}``; argparse's usage and error
+``{"error": {"code", "message", "context"}}``, from the one error exit of
+:func:`run`; ``--out`` is written only once the handler has returned, so a
+failed run creates no file. argparse's usage and error
 text go to stderr too, and ``--help`` to stdout, both the streams given to
 :func:`run`. Output is byte-identical across repeated runs with the same
 inputs. ``enumerate --workers N`` is accepted (N must be a positive
@@ -62,7 +64,7 @@ from .constructions import (
     ruled_double_cover,
 )
 from .errors import DocumentError, FolcanError, InvalidInput
-from .exact_core import check_int, format_rational, parse_rational
+from .exact_core import check_int, check_limit, format_rational, parse_rational
 from .riemann_roch import hilbert_table, integrality_check
 from .surface_model import ResolutionData, _pair_pullbacks, mumford_pullback
 
@@ -239,10 +241,7 @@ def _cmd_hilbert(args) -> str:
     numerics = ser.numerics_from_json(_load_json(args.numerics))
     if args.mmax < 0:
         raise InvalidInput(f"--mmax must be nonnegative, got {args.mmax}")
-    if args.mmax > MAX_MMAX:
-        raise InvalidInput(
-            f"--mmax {args.mmax} is above the limit of {MAX_MMAX}", mmax=args.mmax, limit=MAX_MMAX
-        )
+    check_limit(args.mmax, MAX_MMAX, "mmax", "--mmax {} is")
     table = hilbert_table(numerics)
     values = [[m, text] for m, text in enumerate(table.value_texts(args.mmax))]
     if args.output_format == "csv":
@@ -347,13 +346,7 @@ def _cmd_example(args) -> str:
     allowed = ("g", "q") if args.family == "ruled" else ("d", "n")
     if name not in allowed:
         raise InvalidInput(f"sweep parameter {name!r} not in {allowed}")
-    length = hi - lo + 1
-    if length > MAX_SWEEP:
-        raise InvalidInput(
-            f"the sweep spans {length} values, above the limit of {MAX_SWEEP}",
-            sweep=length,
-            limit=MAX_SWEEP,
-        )
+    check_limit(hi - lo + 1, MAX_SWEEP, "sweep", "the sweep spans {} values,")
     reports = [(value, _build_example({**vars(args), name: value})) for value in range(lo, hi + 1)]
     if args.output_format == "json":
         return ser.dumps(
@@ -395,28 +388,22 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     del parser  # its tree is cyclic garbage; not kept alive through the handler
     try:
         text = _HANDLERS[args.command](args)
-    except DocumentError as exc:
-        stderr.write(_error_payload(exc.code, str(exc), exc.context))
-        return 1
-    except json.JSONDecodeError as exc:
-        stderr.write(_error_payload("json_parse_error", str(exc), {}))
-        return 1
-    except OSError as exc:
-        stderr.write(_error_payload("io_error", str(exc), {}))
-        return 1
-    except FolcanError as exc:
-        stderr.write(_error_payload(exc.code, str(exc), exc.context))
-        return 2
-    if args.out is not None:
-        try:
+        if args.out is not None:  # written only once the handler has returned
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        except OSError as exc:
-            stderr.write(_error_payload("io_error", str(exc), {}))
-            return 1
+    except json.JSONDecodeError as exc:
+        error = 1, "json_parse_error", str(exc), {}
+    except OSError as exc:
+        error = 1, "io_error", str(exc), {}
+    except FolcanError as exc:
+        error = 1 if isinstance(exc, DocumentError) else 2, exc.code, str(exc), exc.context
     else:
-        stdout.write(text)
-    return 0
+        if args.out is None:
+            stdout.write(text)
+        return 0
+    status, code, message, context = error
+    stderr.write(_error_payload(code, message, context))
+    return status
 
 
 def main() -> None:

@@ -37,6 +37,9 @@ build Fractions only for what they return.
 Rationals cross every file boundary as the canonical string ``p/q`` (bare
 ``p`` when the denominator is 1); :func:`parse_rational` is strict about the
 canonical form so that serialization round-trips bit-exactly.
+
+:func:`check_int` is the package's one integer validator and
+:func:`check_limit` its one size-limit refusal, used by every ``MAX_*`` limit.
 """
 
 from __future__ import annotations
@@ -115,6 +118,16 @@ def check_int(value, name: str, minimum: Optional[int] = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
         kind = _INT_KINDS.get(minimum, f"an integer >= {minimum}")
         raise InvalidInput(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def check_limit(value: int, limit: int, name: str, what: str) -> int:
+    """``value``, or above ``limit`` :class:`InvalidInput` with context ``{name: value, "limit": limit}``.
+
+    Its message is ``what.format(value)`` followed by " above the limit of <limit>".
+    """
+    if value > limit:
+        raise InvalidInput(f"{what.format(value)} above the limit of {limit}", **{name: value, "limit": limit})
     return value
 
 

@@ -15,9 +15,10 @@ distinct baskets realizing the same table compare equal.
 The fast paths read one integer form, D (P(m) - chi) = (a m - b) m +
 c[m mod T] for m >= 1 (T the period, c excludes chi), which a
 :class:`HilbertFunction` derives from its corrections. A numerics keeps its
-table (:func:`hilbert_table`); the check, its ``NotIntegral`` witness,
-``value``, ``canonical_form`` and ``value_texts`` (the P(0..n) listing that
-``folcan enumerate`` and ``folcan hilbert`` print) all read that form.
+table (:func:`hilbert_table`) and the verdict of one integrality scan of it,
+which the check and its ``NotIntegral`` witness read; ``value``,
+``canonical_form`` and ``value_texts`` (the P(0..n) listing that ``folcan
+enumerate`` and ``folcan hilbert`` print) read the form.
 :func:`hilbert_value` and the ``baskets`` terms are the ``Fraction``
 definitions it is tested against.
 """
@@ -32,7 +33,7 @@ from typing import Optional
 
 from .baskets import Basket, basket_term, basket_uses_extrapolation, q_index
 from .errors import InvalidInput, NotIntegral
-from .exact_core import as_rational, check_int, format_rational
+from .exact_core import as_rational, check_int, check_limit, format_rational
 
 _WARN_GENERAL_TYPE = "general_type flag set but k1 <= 0"
 
@@ -89,6 +90,18 @@ class ModelNumerics:
         flagged = basket_uses_extrapolation(self.basket, 2)
         return HilbertFunction._from_integers(self.k1, self.k2, self.chi, raw, den, flagged)
 
+    @functools.cached_property
+    def _verdict(self) -> Optional[tuple[int, int, Fraction]]:
+        # (L, m, P(m)) for the first m in [1, L) whose P(m) is not an integer,
+        # None if there is none; L is the window of the table's own period
+        den, a, b, c = self._table._integer_form
+        period = len(c)
+        window = window_length(period, self.k1, self.k2)
+        for m in range(1, window):
+            if (total := (a * m - b) * m + c[m % period]) % den:
+                return window, m, self.chi + Fraction(total, den)
+        return None
+
 
 def hilbert_value(num: ModelNumerics, m: int) -> Fraction:
     check_int(m, "multiple")
@@ -114,13 +127,7 @@ MAX_PERIOD = 100_000
 
 def check_period(period: int) -> int:
     """``period``, or :class:`InvalidInput` with it and the limit in its context above :data:`MAX_PERIOD`."""
-    if period > MAX_PERIOD:
-        raise InvalidInput(
-            f"basket period {period} is above the limit of {MAX_PERIOD}",
-            period=period,
-            limit=MAX_PERIOD,
-        )
-    return period
+    return check_limit(period, MAX_PERIOD, "period", "basket period {} is")
 
 
 def integrality_window(num: ModelNumerics) -> int:
@@ -144,25 +151,15 @@ def quadratic_numerators(k1: Fraction, k2: Fraction, *denominators: int) -> tupl
     return den, a, b
 
 
-def _first_non_integer(num: ModelNumerics) -> Optional[tuple[int, Fraction]]:
-    # the first m in [1, L) whose P(m) is not an integer, and P(m); None if none
-    window = integrality_window(num)
-    den, a, b, c = num._table._integer_form
-    period = len(c)
-    for m in range(1, window):
-        if (total := (a * m - b) * m + c[m % period]) % den:
-            return m, num.chi + Fraction(total, den)
-    return None
-
-
 def integrality_check(num: ModelNumerics) -> bool:
-    """Whether every value P(m), m >= 0, is an integer; decided in integers.
+    """Whether every value P(m), m >= 0, is an integer; decided in integers, once per numerics.
 
     The verdict of ``hilbert_value(num, m).denominator == 1`` over the window
-    of :func:`integrality_window` (taken before any term table is built): D
-    divides (a m - b) m + c[m mod T] of the table's integer form at each m.
+    of :func:`integrality_window`: D divides (a m - b) m + c[m mod T] of the
+    table's integer form at each m. The numerics keeps the verdict, so later
+    calls read it; a period above :data:`MAX_PERIOD` is refused on every call.
     """
-    return _first_non_integer(num) is None
+    return num._verdict is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,16 +280,12 @@ def to_hilbert_function(num: ModelNumerics) -> HilbertFunction:
     """:func:`integrality_check`, then :func:`hilbert_table`.
 
     A failed check raises :class:`NotIntegral` with the window, and the first
-    m >= 1 whose value is not an integer and that value, from the same scan.
+    m >= 1 whose value is not an integer and that value, from the kept verdict.
     """
     if not integrality_check(num):
-        m, value = _first_non_integer(num)
-        raise NotIntegral(
-            f"table has non-integer values, first P({m}) = {format_rational(value)}",
-            window=integrality_window(num),
-            m=m,
-            value=format_rational(value),
-        )
+        window, m, value = num._verdict
+        text = format_rational(value)
+        raise NotIntegral(f"table has non-integer values, first P({m}) = {text}", window=window, m=m, value=text)
     return hilbert_table(num)
 
 

@@ -192,7 +192,7 @@ def profile_from_json(data) -> LocalProfile:
     if kind is SingularityKind.DIHEDRAL_ZERO:
         return dihedral_zero(_integer(data.get("n", 2), "dihedral-zero index"))
     if kind is SingularityKind.DIHEDRAL_HALF:
-        if "n" in data and data["n"] != 2:
+        if "n" in data and _integer(data["n"], "dihedral-half index") != 2:
             raise DocumentError(f"dihedral-half index is fixed at 2, got {data['n']!r}")
         return dihedral_half()
     if "n" in data:

@@ -330,6 +330,19 @@ def test_out_flag(tmp_path):
     assert json.loads(err)["error"]["code"] == "io_error"
 
 
+def test_out_is_written_only_after_the_handler_returns(tmp_path):
+    # a refusal (exit 2) and a missing input file (exit 1) create no --out file
+    target = tmp_path / "report.json"
+    for argv, status, code in (
+        (["enumerate", "--k1", "1", "--k2", "0", "--s", "2", "--cap", "2", "--chi", ",".join(map(str, range(101)))], 2, "invalid_input"),
+        (["hilbert", "--numerics", str(tmp_path / "missing.json"), "--mmax", "3"], 1, "io_error"),
+    ):
+        got, out, err = invoke(["--out", str(target)] + argv)
+        assert (got, out) == (status, "")
+        assert json.loads(err)["error"]["code"] == code
+        assert not target.exists()
+
+
 def test_byte_determinism(model_file, numerics_file):
     for argv in (
         ["intersect", "--model", model_file, "--left", "D", "--right", "D"],

@@ -184,6 +184,31 @@ def test_hilbert_table_is_built_once():
             assert to_hilbert_function(num) is table
 
 
+def test_integrality_is_decided_once_per_numerics(monkeypatch):
+    # two checks and a compression read one scan: q_index runs once, for the
+    # table, and a NotIntegral witness comes from the same verdict
+    calls = []
+    original = folcan.riemann_roch.q_index
+
+    def counting(basket):
+        calls.append(basket)
+        return original(basket)
+
+    monkeypatch.setattr(folcan.riemann_roch, "q_index", counting)
+    for k1, integral in ((F(1), True), (F(1, 2), False)):
+        calls.clear()
+        num = ModelNumerics(k1=k1, k2=F(0), chi=1, basket=T2x2)
+        assert integrality_check(num) is integrality_check(num) is integral
+        if integral:
+            assert to_hilbert_function(num) is hilbert_table(num)
+        else:
+            with pytest.raises(NotIntegral) as info:
+                to_hilbert_function(num)
+            assert info.value.context == {"window": 4, "m": 1, "value": "3/4"}
+            assert str(info.value) == "table has non-integer values, first P(1) = 3/4"
+        assert len(calls) == 1, (k1, len(calls))
+
+
 def test_to_hilbert_function_extrapolated_flag():
     # an index-5 point brings residues 2, 3 into play
     num = ModelNumerics(k1=F(2, 5), k2=F(0), chi=1, basket=Basket.of(terminal_cyclic(5), terminal_cyclic(5)))

@@ -82,6 +82,17 @@ def test_profile_errors():
         profile_from_json(["TerminalCyclic"])
 
 
+def test_profile_index_is_an_integer_for_every_kind():
+    # an integral-looking float or a bool is refused as an index, so no float
+    # enters a document and the round trip keeps its bytes
+    assert profile_from_json({"kind": "DihedralHalf", "n": 2}) == dihedral_half()
+    for kind, what in (("DihedralHalf", "dihedral-half"), ("DihedralZero", "dihedral-zero"), ("TerminalCyclic", "terminal")):
+        for raw in (2.0, True):
+            with pytest.raises(DocumentError) as info:
+                profile_from_json({"kind": kind, "n": raw})
+            assert str(info.value) == f"{what} index must be an integer, got {raw!r}"
+
+
 def test_numerics_round_trip():
     num = ModelNumerics(
         k1=F(1, 2),
