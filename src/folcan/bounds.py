@@ -7,31 +7,16 @@ index s pins the ambient square kx2 into a finite window:
 * strict lower bound -(16 s^2 k1 + 8 s k2), expressing positivity of the
   square of the auxiliary combination (4s * K_leading + K_ambient).
 
-On top of that window, this module enumerates every basket compatible with
-the index s up to a caller-supplied size cap, each generated in canonical
-order so that none is sorted, filters by exact index match
-and integrality of the Euler characteristic table, and returns the finite
-deduplicated family of Hilbert functions with witnessing baskets. Each
-basket is checked at chi = 0: chi is an integer, so it changes neither
-integrality nor the correction table, and the accepted functions are then
-expanded over the requested chi values. A cusp adds the integer -1 at every
-m >= 1, so the index and the integrality of a basket depend only on its
-finite-index part, and the scan yields each part's cusp variants in one
-consecutive group. Each part is decided from per-letter integers: it is
-out if the lcm of its letters' indices does not match s, or if P(1), a sum
-of its letters' m = 1 terms, is not an integer. Parts come in lexicographic
-order, so each is its prefix plus one letter, and the decisions are made
-level by level on (lcm, weight) states of the prefixes, one boolean per
-part. ``itertools.compress`` pairs the scan's groups with them, so the scan
-is read to its end in C and the search's Python loop runs only over the
-groups that pass. Their variants get the full integrality check in turn,
-and the first failure ends the group. A query whose index s is above
-``riemann_roch.MAX_PERIOD`` (with cap >= 1), that spans more than
-:data:`MAX_BASKETS` baskets or that asks for more than :data:`MAX_CHI` chi
-values is refused before any basket is generated. Accepted functions merge
-on their canonical form, the chi = 0 function, kept as its integer
-corrections at the minimal period; each result is built once per chi from
-those integers, and the results of one form share its correction tuple.
+On top of that window, :func:`enumerate_hilbert` returns the finite,
+deduplicated family of Hilbert functions of the baskets compatible with s up
+to a size cap, each with the baskets that realize it. The search relies on
+two integer shifts of P(m):
+
+* a cusp adds -1 at every m >= 1 and leaves the index alone, so a basket's
+  index and integrality are those of its finite-index part, and its table is
+  the part's shifted by -1 per cusp;
+* chi adds chi at every m, so the function at chi is the function at chi = 0
+  plus chi, with the same witnesses.
 """
 
 from __future__ import annotations
@@ -206,8 +191,9 @@ MAX_BASKETS = 1_000_000
 
 # the most chi values one enumerate_hilbert query may ask for: every result
 # is copied once per chi (``enumerate --k1 1 --k2 0 --s 12 --cap 6
-# --max-cusps 2`` over 100 chi values prints 13.0 MB of JSON in about 1.3 s
-# on a 2-core VM); larger chi sets are refused before any basket is generated
+# --max-cusps 2`` over 100 chi values prints 13.0 MB of JSON in about 0.27 s
+# and peaks at 87.5 MB RSS, run in-process through cli.run into a StringIO on
+# a 2-core VM); larger chi sets are refused before any basket is generated
 MAX_CHI = 100
 
 
@@ -262,20 +248,14 @@ def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]
     scanning. With cap 0 the alphabet is not built, so the cost does not
     grow with s.
 
-    The scan is read one finite-index part (a basket without its cusps) at
-    a time, as the group of its cusp variants that :func:`enumerate_baskets`
-    yields in a row. Each part is decided from its prefix by the level walk
-    of :func:`_part_decisions`: it is out when the lcm of its letters'
-    indices does not match s, or when P(1) is not an integer, summed from
-    its letters' m = 1 terms over a common denominator. ``itertools.compress``
-    pairs each group with its decision, so the scan is read to its end in C
-    and the loop body runs only for the groups that are in. Each variant of
-    such a part gets one integrality check and, if accepted, one
-    compression, both at chi = 0; the first failed check ends the group.
-    Functions merge on their canonical form (the chi = 0 function at its
-    minimal period), held as its integer corrections; a merged function is
-    extrapolated if any witness is. Each result is built from those
-    integers once per chi in ``chi_set``.
+    The result lists, for each chi in increasing order, every function in
+    canonical order (by minimal period, then by corrections), each with its
+    witnesses in canonical order; a function is extrapolated if any of its
+    witnesses is. The scan reads every basket of the query and decides each
+    finite-index part once (:func:`_part_decisions`). A part that passes gets
+    one table and one integrality check at chi = 0, and its cusp variants take
+    both from it by the cusp shift. Each distinct function is built once, and
+    every further chi is a copy that differs only in chi.
     """
     if query.k1 <= 0:
         raise NonPositiveVolume(f"leading self-intersection must be positive, got {query.k1}")
@@ -287,33 +267,34 @@ def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]
     check_limit(count, MAX_BASKETS, "baskets", "the query spans {} baskets,")
     check_limit(len(query.chi_set), MAX_CHI, "chi_values", "the query asks for {} chi values,")
     found: dict[tuple, list] = {}
-    # a cusp adds the integer -1 at every m >= 1, so the part alone decides
-    # the index and the integrality of every variant in its group; compress
-    # reads the scan before each decision, so the scan is read to its end
     groups = zip(*[enumerate_baskets(query.s, cap, max_cusps)] * (max_cusps + 1))
     for variants in itertools.compress(groups, _part_decisions(query, letters)):
-        for basket in variants:
-            numerics = ModelNumerics(k1=query.k1, k2=query.k2, chi=0, basket=basket)
+        part = ModelNumerics(k1=query.k1, k2=query.k2, chi=0, basket=variants[0])
+        for cusps, basket in enumerate(variants):
+            numerics = part._with_cusps(basket, cusps) if cusps else part
             if not integrality_check(numerics):
                 break
             func = to_hilbert_function(numerics)
-            *_, minimal, correction = func.canonical_form()
-            # the integer corrections at the minimal period, over the least
-            # common denominator D of the corrections: one-to-one with them
-            den_f, _, _, c = func._integer_form
-            entry = found.setdefault((den_f, c[:minimal]), [False, [], correction])
+            den, _, _, c = func._integer_form
+            if not cusps:
+                minimal = func.canonical_form()[3]  # a shift by a constant keeps it
+            # the integer corrections at the minimal period over their least
+            # common denominator: one-to-one with the corrections
+            entry = found.get(key := (den, c[:minimal]))
+            if entry is None:
+                entry = found[key] = [False, [], func.correction[:minimal]]
             entry[0] |= func.extrapolated
             entry[1].append(basket)
-    # canonical order: by minimal period, then by the corrections
-    merged = sorted(
-        (len(correction), correction, den_f, raw, flag, tuple(sorted(witnesses, key=_basket_sort_key)))
-        for (den_f, raw), (flag, witnesses, correction) in found.items()
-    )
+    # canonical order: by minimal period, then by the corrections, compared
+    # as integers over one common denominator
+    scale = math.lcm(*(den for den, _ in found))
+    forms = []
+    for den, raw in sorted(found, key=lambda key: (len(key[1]), [x * (scale // key[0]) for x in key[1]])):
+        flag, witnesses, correction = found[den, raw]
+        func = HilbertFunction._from_integers(query.k1, query.k2, 0, raw, den, flag, correction)
+        forms.append((func, tuple(sorted(witnesses, key=_basket_sort_key))))
     return tuple(
-        EnumeratedFunction(
-            function=HilbertFunction._from_integers(query.k1, query.k2, chi, raw, den_f, flag, correction),
-            witnesses=witnesses,
-        )
+        EnumeratedFunction(function=func._with_chi(chi), witnesses=witnesses)
         for chi in sorted(query.chi_set)
-        for _, correction, den_f, raw, flag, witnesses in merged
+        for func, witnesses in forms
     )

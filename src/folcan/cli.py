@@ -282,9 +282,10 @@ def _cmd_enumerate(args) -> str:
                 ]
             )
         return _csv_text(rows)
+    memo: dict = {}  # each function's chi-free texts, shared by its entries at every chi
     payload = {
         "count": len(found),
-        "functions": [ser.enumerated_function_to_json(entry) for entry in found],
+        "functions": [ser.enumerated_function_to_json(entry, memo) for entry in found],
         "query": {
             "k1": format_rational(query.k1),
             "k2": format_rational(query.k2),

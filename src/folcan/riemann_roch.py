@@ -90,6 +90,21 @@ class ModelNumerics:
         flagged = basket_uses_extrapolation(self.basket, 2)
         return HilbertFunction._from_integers(self.k1, self.k2, self.chi, raw, den, flagged)
 
+    def _with_cusps(self, basket: Basket, cusps: int) -> ModelNumerics:
+        """The numerics of ``basket``, this one's basket plus ``cusps`` cusps, built from this one.
+
+        A cusp adds -1 at every m >= 1 and changes neither the index nor the
+        extrapolation flag, so the table is this one's with c shifted by
+        -cusps D, and the verdict is this one's with its value shifted.
+        """
+        den, _, _, c = self._table._integer_form
+        shifted = tuple(x - cusps * den for x in c)
+        table = HilbertFunction._from_integers(self.k1, self.k2, self.chi, shifted, den, self._table.extrapolated)
+        verdict = None if (kept := self._verdict) is None else (*kept[:2], kept[2] - cusps)
+        num = object.__new__(ModelNumerics)
+        num.__dict__.update(self.__dict__, basket=basket, _table=table, _verdict=verdict)
+        return num
+
     @functools.cached_property
     def _verdict(self) -> Optional[tuple[int, int, Fraction]]:
         # (L, m, P(m)) for the first m in [1, L) whose P(m) is not an integer,
@@ -208,11 +223,21 @@ class HilbertFunction:
             fractions = {x: Fraction(x, den) for x in set(raw)}
             correction = tuple(map(fractions.__getitem__, raw))
         func = object.__new__(cls)
-        for name, value in zip(
-            ("k1", "k2", "chi", "period", "correction", "extrapolated", "_integer_form"),
-            (k1, k2, chi, len(raw), correction, extrapolated, (lcd, a, b, c)),
-        ):
-            object.__setattr__(func, name, value)
+        func.__dict__.update(
+            k1=k1, k2=k2, chi=chi, period=len(raw), correction=correction, extrapolated=extrapolated,
+            _integer_form=(lcd, a, b, c),
+        )
+        return func
+
+    def _with_chi(self, chi: int) -> HilbertFunction:
+        """This function at ``chi``: itself if ``chi`` is its own, else a copy that differs only in chi.
+
+        The copy shares the correction tuple and the integer form, which excludes chi.
+        """
+        if chi == self.chi:
+            return self
+        func = object.__new__(type(self))
+        func.__dict__.update(self.__dict__, chi=chi)
         return func
 
     @functools.cached_property

@@ -23,6 +23,7 @@ document holds its witnesses; its text is made once per indent per call.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Optional
@@ -333,15 +334,39 @@ def hilbert_function_from_json(data) -> HilbertFunction:
     )
 
 
-def enumerated_function_to_json(entry: EnumeratedFunction) -> dict:
+def enumerated_function_to_json(entry: EnumeratedFunction, memo: Optional[dict] = None) -> dict:
     """The function, its witnesses and its values P(0..2L), L = :func:`value_window`.
 
     ``witnesses`` is the entry's tuple of :class:`Basket` as it is, which
     :func:`dumps` writes as one :func:`basket_to_json` document each.
+    ``memo`` is an optional dict, kept by the caller across the entries of
+    one document, that holds each function's chi-free texts keyed on its
+    integer form, so the entries of one form at several chi share them.
     """
     h = entry.function
+    key = h._integer_form
+    memo = {} if memo is None else memo
+    if key not in memo:
+        memo[key] = _form_texts(h)
+    function, keys, values = memo[key]
+    chi = h.chi
+    texts = h.value_texts(len(keys) - 1) if values is None else map(str, map(chi.__add__, values))
     return {
-        "function": hilbert_function_to_json(h),
+        "function": {**function, "chi": chi, "extrapolated": h.extrapolated},
         "witnesses": entry.witnesses,
-        "values": {str(m): text for m, text in enumerate(h.value_texts(2 * value_window(h)))},
+        "values": dict(zip(keys, texts)),
     }
+
+
+def _form_texts(h: HilbertFunction) -> tuple[dict, list[str], Optional[list[int]]]:
+    # what the documents of h at any chi share: the function's members but chi
+    # and extrapolated, with each correction c[r] / D in lowest terms by one
+    # gcd; the keys "0" .. "2L" of its values; and its values at chi = 0 as
+    # integers, or None when one is not an integer and value_texts renders them
+    den, a, b, c = h._integer_form
+    correction = [str(x // den) if (g := math.gcd(x, den)) == den else f"{x // g}/{den // g}" for x in c]
+    function = {"k1": rational_to_json(h.k1), "k2": rational_to_json(h.k2), "period": h.period, "correction": correction}
+    end, period = 2 * value_window(h), h.period
+    numerators = [(a * m - b) * m + c[m % period] for m in range(1, end + 1)]
+    values = None if any(map(den.__rmod__, numerators)) else [0, *map(den.__rfloordiv__, numerators)]
+    return function, list(map(str, range(end + 1))), values

@@ -404,3 +404,36 @@ def test_part_decisions_walk_in_step_with_the_scan():
             assert next(decisions, None) is None and next(scan, None) is None, (s, cap, max_cusps)
             assert groups == math.comb(len(basket_alphabet(s)) + cap, cap)
     assert verdicts == {False, True}
+
+
+def test_one_table_per_part_that_reaches_the_check(monkeypatch):
+    # a cusp variant takes its part's table shifted by -1 per cusp, so a table
+    # is built from a basket's profiles once per finite-index part that reaches
+    # the integrality check, not once per checked variant
+    import functools
+
+    import folcan.bounds
+    from folcan.riemann_roch import ModelNumerics
+
+    build = ModelNumerics.__dict__["_table"].func
+    built, checked = [], []
+
+    def counting_build(num):
+        built.append(num.basket)
+        return build(num)
+
+    table = functools.cached_property(counting_build)
+    table.__set_name__(ModelNumerics, "_table")
+    monkeypatch.setattr(ModelNumerics, "_table", table)
+    original = folcan.bounds.integrality_check
+    monkeypatch.setattr(folcan.bounds, "integrality_check", lambda num: checked.append(num.basket) or original(num))
+    query = EnumerationQuery(k1=F(1, 2), k2=F(1), s=6, chi_set=frozenset({0, 3}), basket_cap=3, max_cusps=2)
+    result = enumerate_hilbert(query)
+
+    def finite(basket):
+        return Basket(tuple(p for p in basket if p.kind is not SingularityKind.NON_QGOR_CUSP))
+
+    parts = {finite(b) for b in checked}
+    witnesses = sum(len(e.witnesses) for e in result if e.function.chi == 0)
+    assert witnesses and len(checked) >= 2 * len(parts)  # cusp variants are checked
+    assert len(built) == len(set(built)) == len(parts) and set(built) == parts

@@ -17,7 +17,14 @@ import folcan.bounds
 from folcan.baskets import Basket, SingularityKind, q_index, terminal_cyclic
 from folcan.bounds import EnumerationQuery, enumerate_baskets, enumerate_hilbert
 from folcan.errors import InvalidInput
-from folcan.riemann_roch import MAX_PERIOD, ModelNumerics, hilbert_value, integrality_check, to_hilbert_function
+from folcan.riemann_roch import (
+    MAX_PERIOD,
+    ModelNumerics,
+    hilbert_table,
+    hilbert_value,
+    integrality_check,
+    to_hilbert_function,
+)
 
 
 def _key(basket):
@@ -147,3 +154,56 @@ def test_period_limit_comes_before_the_screen():
         k1=Fraction(1), k2=Fraction(1), s=s, chi_set=frozenset({0}), basket_cap=0, q_index_divides=True
     )
     assert [e.witnesses for e in enumerate_hilbert(relaxed)] == [(Basket(),)]
+
+
+def _shift_queries(seed):
+    # max_cusps 2, s in {6, 12, 30, 60}, both k2 parities, both index rules,
+    # k1 = 1/2 on one query
+    rng = random.Random(seed)
+    for i, s in enumerate((6, 12, 30, 60, 6, 12, 30, 60)):
+        yield EnumerationQuery(
+            k1=Fraction(1, 2) if i == 5 else Fraction(1),
+            k2=Fraction(i % 2 + 2 * rng.randint(-3, 3)),
+            s=s,
+            chi_set=frozenset(rng.sample(range(-2, 4), 2)),
+            basket_cap=rng.randint(3, 4),
+            max_cusps=2,
+            q_index_divides=i >= 4,
+        )
+
+
+def test_cusp_variants_take_their_part_table_shifted(monkeypatch):
+    # every witness's numerics, as the enumeration built it (a cusp variant
+    # from its part's table and verdict), against one built from its basket
+    original = folcan.bounds.to_hilbert_function
+    built = {}
+
+    def recording(num):
+        built[num.basket] = num
+        return original(num)
+
+    monkeypatch.setattr(folcan.bounds, "to_hilbert_function", recording)
+    cusped = 0
+    for query in _shift_queries(20261019):
+        built.clear()
+        result = enumerate_hilbert(query)
+        witnesses = {w for entry in result for w in entry.witnesses}
+        assert set(built) == witnesses, query
+        for basket, num in built.items():
+            fresh = ModelNumerics(k1=query.k1, k2=query.k2, chi=0, basket=basket)
+            assert hilbert_table(num)._integer_form == hilbert_table(fresh)._integer_form
+            assert num._verdict == fresh._verdict is None
+            assert integrality_check(num) and integrality_check(fresh)
+            h, expected = to_hilbert_function(num), to_hilbert_function(fresh)
+            assert h == expected and h.extrapolated == expected.extrapolated
+            cusped += any(p.kind is SingularityKind.NON_QGOR_CUSP for p in basket)
+        # each chi copy against the witnesses' own tables at that chi
+        for entry in result:
+            h = entry.function
+            tables = [
+                to_hilbert_function(ModelNumerics(k1=query.k1, k2=query.k2, chi=h.chi, basket=w))
+                for w in entry.witnesses
+            ]
+            assert all(t == h for t in tables)
+            assert h.extrapolated == any(t.extrapolated for t in tables)
+    assert cusped >= 150  # the shifted path is reached

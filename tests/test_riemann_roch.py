@@ -564,3 +564,40 @@ def test_value_texts_match_value():
     assert min(seen.values()) >= 20 and len(functions) >= 450, (seen, len(functions))
     with pytest.raises(InvalidInput):
         functions[0][0].value_texts(-1)
+
+
+def test_cusp_variants_equal_the_numerics_of_their_basket():
+    # ModelNumerics._with_cusps shifts a part's table and verdict by -1 per
+    # cusp; it must agree with the numerics built from the variant's basket,
+    # integral or not
+    rng = random.Random(20261020)
+    letters = [dihedral_zero(1), dihedral_zero(2), dihedral_half()] + [terminal_cyclic(n) for n in (2, 3, 4, 5, 6)]
+    verdicts = set()
+    for _ in range(150):
+        part = Basket(tuple(rng.choices(letters, k=rng.randint(0, 4))))
+        k1, k2 = F(rng.randint(1, 6), rng.choice((1, 2, 3))), F(rng.randint(-6, 6), rng.choice((1, 2)))
+        base = ModelNumerics(k1=k1, k2=k2, chi=rng.randint(-2, 2), basket=part)
+        for cusps in range(3):
+            basket = Basket(part.profiles + (cusp(),) * cusps)
+            shifted = base._with_cusps(basket, cusps)
+            fresh = ModelNumerics(k1=k1, k2=k2, chi=base.chi, basket=basket)
+            assert shifted == fresh
+            assert hilbert_table(shifted)._integer_form == hilbert_table(fresh)._integer_form
+            assert hilbert_table(shifted) == hilbert_table(fresh)
+            assert hilbert_table(shifted).extrapolated == hilbert_table(fresh).extrapolated
+            assert shifted._verdict == fresh._verdict
+            verdicts.add(integrality_check(shifted))
+    assert verdicts == {False, True}
+
+
+def test_chi_copies_differ_only_in_chi():
+    h = HilbertFunction(k1=F(1, 2), k2=F(3), chi=0, period=4, correction=(F(0), F(-3, 8), F(-1, 2), F(-3, 8)),
+                        extrapolated=True)
+    assert h._with_chi(0) is h
+    form = h._integer_form  # worked out before the copies, so they share it
+    for chi in (-3, 1, 7):
+        copy = h._with_chi(chi)
+        public = HilbertFunction(h.k1, h.k2, chi, h.period, h.correction, extrapolated=True)
+        assert dataclasses.astuple(copy) == dataclasses.astuple(public) and copy == public
+        assert copy.correction is h.correction and copy._integer_form is form
+        assert copy.value_texts(12) == public.value_texts(12)

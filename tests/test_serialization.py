@@ -328,3 +328,35 @@ def test_error_payloads_match_json_dumps_with_str_default():
         body = {"error": {"code": "invalid_input", "message": "mü\n\"x\"", "context": context}}
         expected = json.dumps(body, indent=2, sort_keys=True, default=str) + "\n"
         assert _error_payload("invalid_input", "mü\n\"x\"", context) == expected
+
+
+def test_enumerated_documents_are_rendered_once_per_form():
+    # enumerated_function_to_json renders a form's texts once into the memo,
+    # then each chi from them; every document must equal the one built from
+    # hilbert_function_to_json and format_rational(value), with or without a
+    # memo, integral or not (D need not divide the values of any caller's function)
+    from folcan.bounds import EnumeratedFunction
+    from folcan.serialization import enumerated_function_to_json
+
+    rng = random.Random(20261021)
+    memo, integral = {}, set()
+    for _ in range(60):
+        period, den = rng.choice((1, 2, 3, 4, 6)), rng.choice((1, 2, 4, 6, 12))
+        base = HilbertFunction(
+            k1=F(rng.randint(1, 6), rng.choice((1, 2))), k2=F(rng.randint(-6, 6), rng.choice((1, 2))), chi=0,
+            period=period, correction=tuple(F(rng.randint(-den, den), den) for _ in range(period)),
+        )
+        for chi in rng.sample(range(-3, 4), 3):
+            h = base._with_chi(chi)
+            entry = EnumeratedFunction(h, (Basket.of(cusp()),))
+            end = 2 * value_window(h)
+            expected = {
+                "function": hilbert_function_to_json(h),
+                "witnesses": entry.witnesses,
+                "values": {str(m): format_rational(h.value(m)) for m in range(end + 1)},
+            }
+            assert enumerated_function_to_json(entry) == expected
+            assert enumerated_function_to_json(entry, memo) == expected
+            integral.add(all(h.value(m).denominator == 1 for m in range(end + 1)))
+    assert integral == {False, True}
+    assert len(memo) <= 60  # one entry per form, shared by its chi copies
