@@ -102,11 +102,24 @@ class LocalProfile:
         ``t`` covers one period (the local index; 1 for a cusp) and ``d`` is
         the least common denominator of the terms. Computed on first use and
         kept on the profile, so every basket sharing the profile reuses it.
+        The built-in tables are made in integers and put in lowest terms by one
+        gcd; an override table is read through :func:`local_term`.
         """
-        period = self.local_index or 1
-        terms = [local_term(self, r or period) for r in range(period)]
-        den = math.lcm(*(t.denominator for t in terms))
-        return den, tuple(t.numerator * (den // t.denominator) for t in terms)
+        period, kind = self.local_index or 1, self.kind
+        if self.override is not None:
+            terms = [local_term(self, r or period) for r in range(period)]
+            scale = math.lcm(*(t.denominator for t in terms))
+            values = [t.numerator * (scale // t.denominator) for t in terms]
+        elif kind is SingularityKind.TERMINAL_CYCLIC:
+            scale, values = 2 * period, [-r * (period - r) for r in range(period)]
+        elif kind is SingularityKind.DIHEDRAL_HALF:
+            scale, values = 2, [0, -1]
+        elif kind is SingularityKind.NON_QGOR_CUSP:
+            scale, values = 1, [-1]
+        else:
+            scale, values = 1, [0] * period
+        g = math.gcd(scale, *values)
+        return scale // g, tuple(v // g for v in values)
 
 
 def terminal_cyclic(n: int, override: Optional[Iterable] = None) -> LocalProfile:

@@ -44,6 +44,7 @@ from .riemann_roch import (
     ModelNumerics,
     check_period,
     integrality_check,
+    minimal_period,
     quadratic_numerators,
     to_hilbert_function,
 )
@@ -130,7 +131,7 @@ def enumerate_baskets(s: int, cap: int, max_cusps: int) -> Iterator[Basket]:
     check_int(max_cusps, "max_cusps")
     letters = basket_alphabet(s) if cap else ()
     shared_cusp = cusp()  # one instance, so its cached term table is built once
-    runs = [(shared_cusp,) * cusps for cusps in range(max_cusps + 1)]
+    runs = [(shared_cusp,) * cusps for cusps in range(1, max_cusps + 1)]
     # the letters that sort before a cusp are a prefix of the alphabet, so a
     # combination's cusp slot is the count of its positions below that prefix's end
     low = bisect.bisect_left(letters, shared_cusp.sort_key, key=operator.attrgetter("sort_key"))
@@ -138,10 +139,13 @@ def enumerate_baskets(s: int, cap: int, max_cusps: int) -> Iterator[Basket]:
     for size in range(cap + 1):
         combos = itertools.combinations_with_replacement(letters, size)
         for combo, pos in zip(combos, itertools.combinations_with_replacement(range(len(letters)), size)):
+            basket = new(Basket)  # canonical already, so built without the sort
+            put(basket, "profiles", combo)
+            yield basket
             at = bisect.bisect_left(pos, low)
             head, tail = combo[:at], combo[at:]
             for run in runs:
-                basket = new(Basket)  # canonical already, so built without the sort
+                basket = new(Basket)
                 put(basket, "profiles", head + run + tail)
                 yield basket
 
@@ -185,14 +189,14 @@ def _basket_sort_key(basket: Basket):
 
 
 # the most baskets one enumerate_hilbert query may span (s = 60, cap = 8,
-# max_cusps = 2 spans 959,310 and takes about 2 s on a 2-core VM); larger
-# queries are refused before any basket is generated
+# max_cusps = 2 spans 959,310 and takes 1.1-1.9 s through cli.run, in-process,
+# on a 2-core VM); larger queries are refused before any basket is generated
 MAX_BASKETS = 1_000_000
 
 # the most chi values one enumerate_hilbert query may ask for: every result
 # is copied once per chi (``enumerate --k1 1 --k2 0 --s 12 --cap 6
-# --max-cusps 2`` over 100 chi values prints 13.0 MB of JSON in about 0.27 s
-# and peaks at 87.5 MB RSS, run in-process through cli.run into a StringIO on
+# --max-cusps 2`` over 100 chi values prints 13.0 MB of JSON in 0.28-0.34 s
+# and peaks at 84 MB RSS, run in-process through cli.run into a StringIO on
 # a 2-core VM); larger chi sets are refused before any basket is generated
 MAX_CHI = 100
 
@@ -205,8 +209,9 @@ def _part_decisions(query: EnumerationQuery, letters: tuple) -> Iterator[bool]:
     P(1) is an integer. A part of size k is a part of size k - 1 plus one
     letter at or after its last one, in the order of
     ``combinations_with_replacement``, so the parts are walked level by
-    level: level k is built from level k - 1 in one comprehension of
-    (lcm, weight mod den, letters still allowed) triples.
+    level: level k < cap is built from level k - 1 in one comprehension of
+    (lcm, weight mod den, letters still allowed) triples, and the parts of
+    size cap are decided from level cap - 1 without building theirs.
     """
     # per letter: its index, and den times its m = 1 term t[1 % len(t)] / d,
     # an integer since den is a multiple of every d; den P(1) = a - b +
@@ -227,12 +232,17 @@ def _part_decisions(query: EnumerationQuery, letters: tuple) -> Iterator[bool]:
     def grow(level, _):
         return [(lcm(q, n), (w + x) % den, later) for q, w, follow in level for n, x, later in follow]
 
-    levels = itertools.accumulate(range(query.basket_cap), grow, initial=[(1, 0, after[0])])
     # every letter's index divides s, so under q_index_divides every lcm does
     s, divides, target = query.s, query.q_index_divides, (b - a) % den
-    return itertools.chain.from_iterable(
-        [(divides or q == s) and w == target for q, w, _ in level] for level in levels
-    )
+
+    def longer(level):  # the decisions of the parts one letter longer than level's
+        return [(divides or lcm(q, n) == s) and (w + x) % den == target for q, w, follow in level for n, x, _ in follow]
+
+    cap = query.basket_cap
+    # levels 0 .. cap - 1, each deciding the parts one letter longer, so level cap is never built
+    levels = itertools.accumulate(range(cap - 1), grow, initial=[(1, 0, after[0])]) if cap else ()
+    empty = (divides or s == 1) and target == 0  # the part of size 0: lcm 1, weight 0
+    return itertools.chain([empty], itertools.chain.from_iterable(map(longer, levels)))
 
 
 def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]:
@@ -277,12 +287,12 @@ def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]
             func = to_hilbert_function(numerics)
             den, _, _, c = func._integer_form
             if not cusps:
-                minimal = func.canonical_form()[3]  # a shift by a constant keeps it
+                minimal = minimal_period(c)  # a shift by a constant keeps it
             # the integer corrections at the minimal period over their least
             # common denominator: one-to-one with the corrections
             entry = found.get(key := (den, c[:minimal]))
             if entry is None:
-                entry = found[key] = [False, [], func.correction[:minimal]]
+                entry = found[key] = [False, []]
             entry[0] |= func.extrapolated
             entry[1].append(basket)
     # canonical order: by minimal period, then by the corrections, compared
@@ -290,8 +300,8 @@ def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]
     scale = math.lcm(*(den for den, _ in found))
     forms = []
     for den, raw in sorted(found, key=lambda key: (len(key[1]), [x * (scale // key[0]) for x in key[1]])):
-        flag, witnesses, correction = found[den, raw]
-        func = HilbertFunction._from_integers(query.k1, query.k2, 0, raw, den, flag, correction)
+        flag, witnesses = found[den, raw]
+        func = HilbertFunction._from_integers(query.k1, query.k2, 0, raw, den, flag)
         forms.append((func, tuple(sorted(witnesses, key=_basket_sort_key))))
     return tuple(
         EnumeratedFunction(function=func._with_chi(chi), witnesses=witnesses)

@@ -276,7 +276,7 @@ def _cmd_enumerate(args) -> str:
                     format_rational(h.k2),
                     h.chi,
                     h.period,
-                    _vector_cell(h.correction),
+                    " ".join(h.correction_texts()),
                     str(h.extrapolated).lower(),
                     len(entry.witnesses),
                 ]

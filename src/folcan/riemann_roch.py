@@ -12,13 +12,11 @@ the quadratic coefficients plus one period of correction values. That
 compressed form carries the equality notion used for deduplication, where
 distinct baskets realizing the same table compare equal.
 
-The fast paths read one integer form, D (P(m) - chi) = (a m - b) m +
-c[m mod T] for m >= 1 (T the period, c excludes chi), which a
-:class:`HilbertFunction` derives from its corrections. A numerics keeps its
-table (:func:`hilbert_table`) and the verdict of one integrality scan of it,
-which the check and its ``NotIntegral`` witness read; ``value``,
-``canonical_form`` and ``value_texts`` (the P(0..n) listing that ``folcan
-enumerate`` and ``folcan hilbert`` print) read the form.
+A :class:`HilbertFunction` is its integer form, D (P(m) - chi) = (a m - b) m
++ c[m mod T] for m >= 1 (T the period, c excludes chi), summed from the
+letters' integer term tables; its ``Fraction`` corrections are a view built on
+first read. A numerics keeps its table (:func:`hilbert_table`) and the verdict
+of one integrality scan of it. Values, texts and identity read the form;
 :func:`hilbert_value` and the ``baskets`` terms are the ``Fraction``
 definitions it is tested against.
 """
@@ -34,9 +32,6 @@ from typing import Optional
 from .baskets import Basket, basket_term, basket_uses_extrapolation, q_index
 from .errors import InvalidInput, NotIntegral
 from .exact_core import as_rational, check_int, check_limit, format_rational
-
-_WARN_GENERAL_TYPE = "general_type flag set but k1 <= 0"
-
 
 @dataclass(frozen=True)
 class ModelNumerics:
@@ -64,7 +59,7 @@ class ModelNumerics:
         if not isinstance(self.basket, Basket):
             raise InvalidInput("basket must be a Basket instance")
         if self.general_type and self.k1 <= 0:
-            raise InvalidInput(_WARN_GENERAL_TYPE, k1=str(self.k1))
+            raise InvalidInput("general_type flag set but k1 <= 0", k1=str(self.k1))
 
     def denominators_consistent(self) -> bool:
         """Advisory: denominators compatible with the basket index.
@@ -91,11 +86,9 @@ class ModelNumerics:
         return HilbertFunction._from_integers(self.k1, self.k2, self.chi, raw, den, flagged)
 
     def _with_cusps(self, basket: Basket, cusps: int) -> ModelNumerics:
-        """The numerics of ``basket``, this one's basket plus ``cusps`` cusps, built from this one.
+        """The numerics of ``basket``, this one's basket plus ``cusps`` cusps: this table and verdict shifted.
 
-        A cusp adds -1 at every m >= 1 and changes neither the index nor the
-        extrapolation flag, so the table is this one's with c shifted by
-        -cusps D, and the verdict is this one's with its value shifted.
+        A cusp adds -1 at every m >= 1 and changes neither the index nor the extrapolation flag.
         """
         den, _, _, c = self._table._integer_form
         shifted = tuple(x - cusps * den for x in c)
@@ -170,21 +163,34 @@ def integrality_check(num: ModelNumerics) -> bool:
     """Whether every value P(m), m >= 0, is an integer; decided in integers, once per numerics.
 
     The verdict of ``hilbert_value(num, m).denominator == 1`` over the window
-    of :func:`integrality_window`: D divides (a m - b) m + c[m mod T] of the
-    table's integer form at each m. The numerics keeps the verdict, so later
-    calls read it; a period above :data:`MAX_PERIOD` is refused on every call.
+    of :func:`integrality_window`, kept on the numerics; a period above
+    :data:`MAX_PERIOD` is refused on every call.
     """
     return num._verdict is None
 
 
-@dataclass(frozen=True, eq=False)
-class HilbertFunction:
-    """Quadratic-plus-periodic table: value(m) = (k1 m^2 - k2 m)/2 + chi + c[m mod T].
+def _ratio_text(num: int, den: int) -> str:
+    # format_rational(Fraction(num, den)) for den > 0, by one gcd
+    g = math.gcd(num, den)
+    return str(num // den) if g == den else f"{num // g}/{den // g}"
 
-    The correction tuple applies at m >= 1 only; value(0) = chi always.
-    Equality and hashing go through :meth:`canonical_form`, so functions
-    with different stored periods but identical tables compare equal, and
-    the ``extrapolated`` provenance marker stays out of identity.
+
+def minimal_period(c: tuple[int, ...]) -> int:
+    """The least d dividing len(c) with c[r] = c[r + d] for every r, i.e. c's minimal period."""
+    t = len(c)
+    return next(d for d in range(1, t + 1) if t % d == 0 and c[d:] == c[:-d])
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class HilbertFunction:
+    """Quadratic-plus-periodic table: value(m) = (k1 m^2 - k2 m)/2 + chi + correction[m mod T].
+
+    The correction tuple applies at m >= 1 only; value(0) = chi always. The
+    state is the integer form (D, a, b, c), c[r] = D correction[r], plus k1,
+    k2, chi and ``extrapolated``; ``correction`` is its view, built on first
+    read. Equality and hashing read (D, c) at the minimal period, so equal
+    tables stored at different periods compare equal, and ``extrapolated``
+    stays out of identity.
     """
 
     k1: Fraction
@@ -194,57 +200,51 @@ class HilbertFunction:
     correction: tuple[Fraction, ...]
     extrapolated: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "k1", as_rational(self.k1))
-        object.__setattr__(self, "k2", as_rational(self.k2))
-        object.__setattr__(self, "correction", tuple(as_rational(c) for c in self.correction))
-        check_int(self.chi, "chi", None)
-        check_int(self.period, "period", 1)
-        if len(self.correction) != self.period:
-            raise InvalidInput(
-                f"correction table has length {len(self.correction)}, period is {self.period}"
-            )
-        if not isinstance(self.extrapolated, bool):
-            raise InvalidInput(f"extrapolated must be a bool, got {self.extrapolated!r}")
+    def __init__(self, k1, k2, chi, period, correction, extrapolated=False):
+        k1, k2 = as_rational(k1), as_rational(k2)
+        correction = tuple(map(as_rational, correction))
+        check_int(chi, "chi", None)
+        check_int(period, "period", 1)
+        if len(correction) != period:
+            raise InvalidInput(f"correction table has length {len(correction)}, period is {period}")
+        if not isinstance(extrapolated, bool):
+            raise InvalidInput(f"extrapolated must be a bool, got {extrapolated!r}")
+        den = math.lcm(*(x.denominator for x in correction))
+        raw = tuple(x.numerator * (den // x.denominator) for x in correction)
+        # the state _from_integers sets, with the given tuple kept as the view
+        self.__dict__.update(vars(self._from_integers(k1, k2, chi, raw, den, extrapolated, correction)))
 
     @classmethod
     def _from_integers(cls, k1, k2, chi, raw, den, extrapolated, correction=None) -> "HilbertFunction":
         """The function with corrections raw[r] / den, for checked ints and Fractions.
 
-        Its integer form is preset to the one ``_integer_form`` derives, over
-        D = lcm(2 den(k1), 2 den(k2), den / gcd(den, *raw)). One Fraction is
-        built per distinct numerator, unless ``correction`` (raw[r] / den in
-        order) is given; that tuple is then shared, and so is ``raw`` if den = D.
+        Its form is over D = lcm(2 den(k1), 2 den(k2), den / gcd(den, *raw)) and
+        shares ``raw`` if den = D. ``correction``, raw[r] / den in order, is kept as the view if given.
         """
         lowest = den // math.gcd(den, *raw)  # the corrections' own common denominator
         lcd, a, b = quadratic_numerators(k1, k2, lowest)
         c = raw if lcd == den else tuple(x // (den // lowest) * (lcd // lowest) for x in raw)
-        if correction is None:
-            fractions = {x: Fraction(x, den) for x in set(raw)}
-            correction = tuple(map(fractions.__getitem__, raw))
         func = object.__new__(cls)
         func.__dict__.update(
-            k1=k1, k2=k2, chi=chi, period=len(raw), correction=correction, extrapolated=extrapolated,
-            _integer_form=(lcd, a, b, c),
-        )
+            k1=k1, k2=k2, chi=chi, period=len(raw), extrapolated=extrapolated, _integer_form=(lcd, a, b, c))
+        if correction is not None:
+            func.__dict__["correction"] = correction
         return func
 
-    def _with_chi(self, chi: int) -> HilbertFunction:
-        """This function at ``chi``: itself if ``chi`` is its own, else a copy that differs only in chi.
+    @functools.cached_property
+    def correction(self) -> tuple[Fraction, ...]:
+        # the Fraction view c[r] / D, one Fraction per distinct numerator
+        den, _, _, c = self._integer_form
+        fraction = {x: Fraction(x, den) for x in set(c)}.__getitem__
+        return tuple(map(fraction, c))
 
-        The copy shares the correction tuple and the integer form, which excludes chi.
-        """
+    def _with_chi(self, chi: int) -> HilbertFunction:
+        """This function at ``chi``: itself if ``chi`` is its own, else a copy sharing its form and view."""
         if chi == self.chi:
             return self
         func = object.__new__(type(self))
         func.__dict__.update(self.__dict__, chi=chi)
         return func
-
-    @functools.cached_property
-    def _integer_form(self) -> tuple[int, int, int, tuple[int, ...]]:
-        # the module's one integer form, from the corrections: c[r] = D correction[r]
-        den, a, b = quadratic_numerators(self.k1, self.k2, *(x.denominator for x in self.correction))
-        return den, a, b, tuple(x.numerator * (den // x.denominator) for x in self.correction)
 
     def value(self, m: int) -> Fraction:
         check_int(m, "multiple")
@@ -256,34 +256,35 @@ class HilbertFunction:
     def value_texts(self, mmax: int) -> list[str]:
         """``format_rational(self.value(m))`` for m in [0, mmax], read from the integer form.
 
-        P(m) = ((a m - b) m + c[m mod T] + D chi) / D at m >= 1, put in lowest
-        terms with one ``gcd``; :meth:`value` is the reference it is tested against.
+        P(m) = ((a m - b) m + c[m mod T] + D chi) / D at m >= 1 in lowest terms, by one ``gcd`` each.
         """
         check_int(mmax, "mmax")
         den, a, b, c = self._integer_form
         period, shift = self.period, den * self.chi
-        texts = [str(self.chi)]
-        for m in range(1, mmax + 1):
-            num = (a * m - b) * m + c[m % period] + shift
-            g = math.gcd(num, den)
-            texts.append(str(num // den) if g == den else f"{num // g}/{den // g}")
-        return texts
+        texts = (_ratio_text((a * m - b) * m + c[m % period] + shift, den) for m in range(1, mmax + 1))
+        return [str(self.chi), *texts]
+
+    def correction_texts(self) -> list[str]:
+        """``format_rational`` of each correction, read from the integer form as c[r] / D with one ``gcd``."""
+        den, _, _, c = self._integer_form
+        return [_ratio_text(x, den) for x in c]
+
+    def _identity(self) -> tuple:
+        # (D, c) at the minimal period, one-to-one with the corrections there
+        den, _, _, c = self._integer_form
+        return self.k1, self.k2, self.chi, den, c[: minimal_period(c)]
 
     def canonical_form(self) -> tuple:
-        # contract the correction tuple to its minimal period, found on the
-        # integers c[r] = D correction[r], one-to-one with the corrections
-        c = self._integer_form[3]
-        t = self.period
-        minimal = next(d for d in range(1, t + 1) if t % d == 0 and c[d:] == c[:-d])
+        minimal = minimal_period(self._integer_form[3])
         return (self.k1, self.k2, self.chi, minimal, self.correction[:minimal])
 
     def __eq__(self, other):
         if not isinstance(other, HilbertFunction):
             return NotImplemented
-        return self.canonical_form() == other.canonical_form()
+        return self._identity() == other._identity()
 
     def __hash__(self):
-        return hash(self.canonical_form())
+        return hash(self._identity())
 
     def canonicalized(self) -> "HilbertFunction":
         k1, k2, chi, period, correction = self.canonical_form()
@@ -291,12 +292,10 @@ class HilbertFunction:
 
 
 def hilbert_table(num: ModelNumerics) -> HilbertFunction:
-    """The table of ``num`` as one period of corrections, integral or not.
+    """The table of ``num`` as one period of corrections, integral or not; one object per numerics.
 
-    Built once per numerics: repeated calls return the same object, whose
-    integer form :func:`integrality_check` scans. The period T is the basket
-    index, refused above :data:`MAX_PERIOD` before any term table is built.
-    Cusps fold into every entry: residue r holds ``basket_term(num.basket, r or T)``.
+    The period T is the basket index, refused above :data:`MAX_PERIOD` before
+    any term table is built. Residue r holds ``basket_term(num.basket, r or T)``, cusps included.
     """
     return num._table
 

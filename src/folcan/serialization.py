@@ -23,7 +23,6 @@ document holds its witnesses; its text is made once per indent per call.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Optional
@@ -315,7 +314,7 @@ def hilbert_function_to_json(h: HilbertFunction) -> dict:
         "k2": rational_to_json(h.k2),
         "chi": h.chi,
         "period": h.period,
-        "correction": vector_to_json(h.correction),
+        "correction": h.correction_texts(),
         "extrapolated": h.extrapolated,
     }
 
@@ -360,12 +359,12 @@ def enumerated_function_to_json(entry: EnumeratedFunction, memo: Optional[dict] 
 
 def _form_texts(h: HilbertFunction) -> tuple[dict, list[str], Optional[list[int]]]:
     # what the documents of h at any chi share: the function's members but chi
-    # and extrapolated, with each correction c[r] / D in lowest terms by one
-    # gcd; the keys "0" .. "2L" of its values; and its values at chi = 0 as
-    # integers, or None when one is not an integer and value_texts renders them
+    # and extrapolated; the keys "0" .. "2L" of its values; and its values at
+    # chi = 0 as integers, or None when one is not an integer and value_texts
+    # renders them
+    function = {"k1": rational_to_json(h.k1), "k2": rational_to_json(h.k2), "period": h.period}
+    function["correction"] = h.correction_texts()
     den, a, b, c = h._integer_form
-    correction = [str(x // den) if (g := math.gcd(x, den)) == den else f"{x // g}/{den // g}" for x in c]
-    function = {"k1": rational_to_json(h.k1), "k2": rational_to_json(h.k2), "period": h.period, "correction": correction}
     end, period = 2 * value_window(h), h.period
     numerators = [(a * m - b) * m + c[m % period] for m in range(1, end + 1)]
     values = None if any(map(den.__rmod__, numerators)) else [0, *map(den.__rfloordiv__, numerators)]

@@ -246,3 +246,29 @@ def test_property_cartier_vanishing_divides():
             for p in b:
                 if p.kind is not SingularityKind.NON_QGOR_CUSP:
                     assert local_term(p, idx * t) == 0
+
+
+def _fraction_table(profile):
+    # the Fraction definition: one period of local_term over its lowest common denominator
+    period = profile.local_index or 1
+    terms = [local_term(profile, r or period) for r in range(period)]
+    den = math.lcm(*(t.denominator for t in terms))
+    return den, tuple(t.numerator * (den // t.denominator) for t in terms)
+
+
+def test_term_numerators_equal_the_fraction_definition():
+    # the built-in tables are made in integers; every kind, every terminal
+    # index up to 300, and seeded override tables against local_term
+    profiles = ALL_KINDS + [terminal_cyclic(n) for n in range(2, 301)]
+    rng = random.Random(20261019)
+    for _ in range(200):
+        n = rng.randint(2, 24)
+        table = [F(0)] + [F(-rng.randint(0, 12), rng.choice((1, 2, 3, 4, 6, 8, 12))) for _ in range(n - 1)]
+        profiles.append(terminal_cyclic(n, override=table))
+    profiles.append(terminal_cyclic(3, override=[F(0)] * 3))  # an all-zero override: d = 1
+    for profile in profiles:
+        d, t = profile.term_numerators
+        assert (d, t) == _fraction_table(profile), profile
+        assert type(d) is int and all(type(x) is int for x in t)
+        for m in range(1, 2 * len(t) + 1):
+            assert F(t[m % len(t)], d) == local_term(profile, m)
