@@ -10,13 +10,13 @@ index s pins the ambient square kx2 into a finite window:
 On top of that window, :func:`enumerate_hilbert` returns the finite,
 deduplicated family of Hilbert functions of the baskets compatible with s up
 to a size cap, each with the baskets that realize it. The search relies on
-two integer shifts of P(m):
+two integer shifts of P(m), both made in ``riemann_roch``:
 
 * a cusp adds -1 at every m >= 1 and leaves the index alone, so a basket's
   index and integrality are those of its finite-index part, and its table is
-  the part's shifted by -1 per cusp;
+  the part's shifted by -1 per cusp (``ModelNumerics._with_cusps``);
 * chi adds chi at every m, so the function at chi is the function at chi = 0
-  plus chi, with the same witnesses.
+  plus chi, with the same witnesses (``HilbertFunction._with_chi``).
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from .exact_core import as_rational, check_int, check_limit
 from .riemann_roch import (
     HilbertFunction,
     ModelNumerics,
+    canonical_order,
     check_period,
     integrality_check,
-    minimal_period,
     quadratic_numerators,
     to_hilbert_function,
 )
@@ -184,10 +184,6 @@ class EnumeratedFunction:
     witnesses: tuple[Basket, ...]
 
 
-def _basket_sort_key(basket: Basket):
-    return tuple(p.sort_key for p in basket)
-
-
 # the most baskets one enumerate_hilbert query may span (s = 60, cap = 8,
 # max_cusps = 2 spans 959,310 and takes 1.1-1.9 s through cli.run, in-process,
 # on a 2-core VM); larger queries are refused before any basket is generated
@@ -258,14 +254,14 @@ def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]
     scanning. With cap 0 the alphabet is not built, so the cost does not
     grow with s.
 
-    The result lists, for each chi in increasing order, every function in
-    canonical order (by minimal period, then by corrections), each with its
+    The result lists, for each chi in increasing order, every function at
+    its minimal period in :func:`riemann_roch.canonical_order`, each with its
     witnesses in canonical order; a function is extrapolated if any of its
-    witnesses is. The scan reads every basket of the query and decides each
-    finite-index part once (:func:`_part_decisions`). A part that passes gets
-    one table and one integrality check at chi = 0, and its cusp variants take
-    both from it by the cusp shift. Each distinct function is built once, and
-    every further chi is a copy that differs only in chi.
+    witnesses is. The scan decides each finite-index part once
+    (:func:`_part_decisions`). A part that passes gets one table and one
+    integrality check at chi = 0, and its cusp variants take both from it by
+    the cusp shift. The merge keys on the functions' own equality, and every
+    further chi is a copy that differs only in chi.
     """
     if query.k1 <= 0:
         raise NonPositiveVolume(f"leading self-intersection must be positive, got {query.k1}")
@@ -276,7 +272,8 @@ def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]
     count = math.comb(len(letters) + cap, cap) * (max_cusps + 1)
     check_limit(count, MAX_BASKETS, "baskets", "the query spans {} baskets,")
     check_limit(len(query.chi_set), MAX_CHI, "chi_values", "the query asks for {} chi values,")
-    found: dict[tuple, list] = {}
+    # each function: a witness's function (an extrapolated one if any is) and its witnesses
+    found: dict[HilbertFunction, list] = {}
     groups = zip(*[enumerate_baskets(query.s, cap, max_cusps)] * (max_cusps + 1))
     for variants in itertools.compress(groups, _part_decisions(query, letters)):
         part = ModelNumerics(k1=query.k1, k2=query.k2, chi=0, basket=variants[0])
@@ -285,24 +282,14 @@ def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]
             if not integrality_check(numerics):
                 break
             func = to_hilbert_function(numerics)
-            den, _, _, c = func._integer_form
-            if not cusps:
-                minimal = minimal_period(c)  # a shift by a constant keeps it
-            # the integer corrections at the minimal period over their least
-            # common denominator: one-to-one with the corrections
-            entry = found.get(key := (den, c[:minimal]))
-            if entry is None:
-                entry = found[key] = [False, []]
-            entry[0] |= func.extrapolated
+            entry = found.setdefault(func, [func, []])
+            if func.extrapolated:
+                entry[0] = func
             entry[1].append(basket)
-    # canonical order: by minimal period, then by the corrections, compared
-    # as integers over one common denominator
-    scale = math.lcm(*(den for den, _ in found))
-    forms = []
-    for den, raw in sorted(found, key=lambda key: (len(key[1]), [x * (scale // key[0]) for x in key[1]])):
-        flag, witnesses = found[den, raw]
-        func = HilbertFunction._from_integers(query.k1, query.k2, 0, raw, den, flag)
-        forms.append((func, tuple(sorted(witnesses, key=_basket_sort_key))))
+    forms = [
+        (func.canonicalized(), tuple(sorted(witnesses, key=lambda basket: [p.sort_key for p in basket])))
+        for func, witnesses in map(found.get, canonical_order(found))
+    ]
     return tuple(
         EnumeratedFunction(function=func._with_chi(chi), witnesses=witnesses)
         for chi in sorted(query.chi_set)

@@ -15,10 +15,13 @@ distinct baskets realizing the same table compare equal.
 A :class:`HilbertFunction` is its integer form, D (P(m) - chi) = (a m - b) m
 + c[m mod T] for m >= 1 (T the period, c excludes chi), summed from the
 letters' integer term tables; its ``Fraction`` corrections are a view built on
-first read. A numerics keeps its table (:func:`hilbert_table`) and the verdict
-of one integrality scan of it. Values, texts and identity read the form;
-:func:`hilbert_value` and the ``baskets`` terms are the ``Fraction``
-definitions it is tested against.
+first read. The form is private to this module: ``HilbertFunction._numerators``
+is its one evaluation, ``HilbertFunction._copy`` its one copy (chi and cusp
+shifts, the cut to the minimal period), and other modules read values, texts,
+identity, :func:`canonical_order` and a memo key through methods. A numerics
+keeps its table (:func:`hilbert_table`) and the verdict of one integrality scan
+of it. :func:`hilbert_value` and the ``baskets`` terms are the ``Fraction``
+definitions the form is tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .baskets import Basket, basket_term, basket_uses_extrapolation, q_index
 from .errors import InvalidInput, NotIntegral
@@ -58,6 +61,8 @@ class ModelNumerics:
         check_int(self.chi, "chi", None)
         if not isinstance(self.basket, Basket):
             raise InvalidInput("basket must be a Basket instance")
+        if not isinstance(self.general_type, bool):
+            raise InvalidInput(f"general_type must be a bool, got {self.general_type!r}")
         if self.general_type and self.k1 <= 0:
             raise InvalidInput("general_type flag set but k1 <= 0", k1=str(self.k1))
 
@@ -90,9 +95,7 @@ class ModelNumerics:
 
         A cusp adds -1 at every m >= 1 and changes neither the index nor the extrapolation flag.
         """
-        den, _, _, c = self._table._integer_form
-        shifted = tuple(x - cusps * den for x in c)
-        table = HilbertFunction._from_integers(self.k1, self.k2, self.chi, shifted, den, self._table.extrapolated)
+        table = self._table._copy(shift=-cusps)
         verdict = None if (kept := self._verdict) is None else (*kept[:2], kept[2] - cusps)
         num = object.__new__(ModelNumerics)
         num.__dict__.update(self.__dict__, basket=basket, _table=table, _verdict=verdict)
@@ -102,11 +105,10 @@ class ModelNumerics:
     def _verdict(self) -> Optional[tuple[int, int, Fraction]]:
         # (L, m, P(m)) for the first m in [1, L) whose P(m) is not an integer,
         # None if there is none; L is the window of the table's own period
-        den, a, b, c = self._table._integer_form
-        period = len(c)
-        window = window_length(period, self.k1, self.k2)
-        for m in range(1, window):
-            if (total := (a * m - b) * m + c[m % period]) % den:
+        table = self._table
+        den, window = table._integer_form[0], window_length(table.period, self.k1, self.k2)
+        for m, total in enumerate(table._numerators(range(1, window)), 1):
+            if total % den:
                 return window, m, self.chi + Fraction(total, den)
         return None
 
@@ -175,22 +177,13 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num // den) if g == den else f"{num // g}/{den // g}"
 
 
-def minimal_period(c: tuple[int, ...]) -> int:
-    """The least d dividing len(c) with c[r] = c[r + d] for every r, i.e. c's minimal period."""
-    t = len(c)
-    return next(d for d in range(1, t + 1) if t % d == 0 and c[d:] == c[:-d])
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class HilbertFunction:
     """Quadratic-plus-periodic table: value(m) = (k1 m^2 - k2 m)/2 + chi + correction[m mod T].
 
-    The correction tuple applies at m >= 1 only; value(0) = chi always. The
-    state is the integer form (D, a, b, c), c[r] = D correction[r], plus k1,
-    k2, chi and ``extrapolated``; ``correction`` is its view, built on first
-    read. Equality and hashing read (D, c) at the minimal period, so equal
-    tables stored at different periods compare equal, and ``extrapolated``
-    stays out of identity.
+    The correction tuple applies at m >= 1 only; value(0) = chi always. The state is the
+    integer form, c[r] = D correction[r], plus k1, k2, chi and ``extrapolated``; equality
+    and hashing read the form at the minimal period, and ``extrapolated`` stays out of them.
     """
 
     k1: Fraction
@@ -212,14 +205,13 @@ class HilbertFunction:
         den = math.lcm(*(x.denominator for x in correction))
         raw = tuple(x.numerator * (den // x.denominator) for x in correction)
         # the state _from_integers sets, with the given tuple kept as the view
-        self.__dict__.update(vars(self._from_integers(k1, k2, chi, raw, den, extrapolated, correction)))
+        self.__dict__.update(vars(self._from_integers(k1, k2, chi, raw, den, extrapolated)), correction=correction)
 
     @classmethod
-    def _from_integers(cls, k1, k2, chi, raw, den, extrapolated, correction=None) -> "HilbertFunction":
+    def _from_integers(cls, k1, k2, chi, raw, den, extrapolated) -> "HilbertFunction":
         """The function with corrections raw[r] / den, for checked ints and Fractions.
 
-        Its form is over D = lcm(2 den(k1), 2 den(k2), den / gcd(den, *raw)) and
-        shares ``raw`` if den = D. ``correction``, raw[r] / den in order, is kept as the view if given.
+        Its form is over D = lcm(2 den(k1), 2 den(k2), den / gcd(den, *raw)) and shares ``raw`` if den = D.
         """
         lowest = den // math.gcd(den, *raw)  # the corrections' own common denominator
         lcd, a, b = quadratic_numerators(k1, k2, lowest)
@@ -227,8 +219,6 @@ class HilbertFunction:
         func = object.__new__(cls)
         func.__dict__.update(
             k1=k1, k2=k2, chi=chi, period=len(raw), extrapolated=extrapolated, _integer_form=(lcd, a, b, c))
-        if correction is not None:
-            func.__dict__["correction"] = correction
         return func
 
     @functools.cached_property
@@ -238,44 +228,67 @@ class HilbertFunction:
         fraction = {x: Fraction(x, den) for x in set(c)}.__getitem__
         return tuple(map(fraction, c))
 
+    @functools.cached_property
+    def _minimal_period(self) -> int:  # the least d dividing T with c[r] = c[r + d] for every r
+        c, t = self._integer_form[3], self.period
+        return next(d for d in range(1, t + 1) if t % d == 0 and c[d:] == c[:-d])
+
+    def _copy(self, shift: int = 0, period: Optional[int] = None, **fields) -> HilbertFunction:
+        # the one copy: fields replaced, P(m) moved by shift at m >= 1 and c cut to period, a
+        # multiple of the minimal period, so D, a, b and the minimal period carry over; the
+        # correction view carries over only if c is unchanged
+        func = object.__new__(type(self))
+        func.__dict__.update(self.__dict__, **fields)
+        if shift or period not in (None, self.period):
+            den, a, b, c = self._integer_form
+            c = tuple(x + shift * den for x in c[:period])
+            func.__dict__.update(period=len(c), _integer_form=(den, a, b, c))
+            func.__dict__.pop("correction", None)
+        return func
+
     def _with_chi(self, chi: int) -> HilbertFunction:
         """This function at ``chi``: itself if ``chi`` is its own, else a copy sharing its form and view."""
-        if chi == self.chi:
-            return self
-        func = object.__new__(type(self))
-        func.__dict__.update(self.__dict__, chi=chi)
-        return func
+        return self if chi == self.chi else self._copy(chi=chi)
+
+    def _numerators(self, ms: Iterable[int]) -> Iterator[int]:
+        # D (P(m) - chi) = (a m - b) m + c[m mod T] for each m >= 1 of ms, the one evaluation of the form
+        _, a, b, c = self._integer_form
+        period = self.period
+        return ((a * m - b) * m + c[m % period] for m in ms)
 
     def value(self, m: int) -> Fraction:
         check_int(m, "multiple")
-        if m == 0:
-            return Fraction(self.chi)
-        den, a, b, c = self._integer_form
-        return Fraction((a * m - b) * m + c[m % self.period] + den * self.chi, den)
+        total = next(self._numerators((m,))) if m else 0  # the correction applies at m >= 1 only
+        return Fraction(total, self._integer_form[0]) + self.chi
 
     def value_texts(self, mmax: int) -> list[str]:
-        """``format_rational(self.value(m))`` for m in [0, mmax], read from the integer form.
-
-        P(m) = ((a m - b) m + c[m mod T] + D chi) / D at m >= 1 in lowest terms, by one ``gcd`` each.
-        """
+        """``format_rational(self.value(m))`` for m in [0, mmax], each read from the integer form by one ``gcd``."""
         check_int(mmax, "mmax")
-        den, a, b, c = self._integer_form
-        period, shift = self.period, den * self.chi
-        texts = (_ratio_text((a * m - b) * m + c[m % period] + shift, den) for m in range(1, mmax + 1))
-        return [str(self.chi), *texts]
+        den = self._integer_form[0]
+        shift = den * self.chi
+        return [str(self.chi), *(_ratio_text(x + shift, den) for x in self._numerators(range(1, mmax + 1)))]
+
+    def _chi_free_values(self, mmax: int) -> Optional[list[int]]:
+        """P(m) - chi for m in [0, mmax] as ints, or None if one of them is not an integer."""
+        den = self._integer_form[0]
+        totals = list(self._numerators(range(1, mmax + 1)))
+        return None if any(map(den.__rmod__, totals)) else [0, *map(den.__rfloordiv__, totals)]
 
     def correction_texts(self) -> list[str]:
         """``format_rational`` of each correction, read from the integer form as c[r] / D with one ``gcd``."""
         den, _, _, c = self._integer_form
         return [_ratio_text(x, den) for x in c]
 
+    def _form_key(self) -> tuple:  # an opaque key, equal exactly when the texts but chi and extrapolated are
+        return self._integer_form
+
     def _identity(self) -> tuple:
-        # (D, c) at the minimal period, one-to-one with the corrections there
-        den, _, _, c = self._integer_form
-        return self.k1, self.k2, self.chi, den, c[: minimal_period(c)]
+        # (D, a, b, c) at the minimal period, one-to-one with k1, k2 and the corrections there
+        den, a, b, c = self._integer_form
+        return self.chi, den, a, b, c[: self._minimal_period]
 
     def canonical_form(self) -> tuple:
-        minimal = minimal_period(self._integer_form[3])
+        minimal = self._minimal_period
         return (self.k1, self.k2, self.chi, minimal, self.correction[:minimal])
 
     def __eq__(self, other):
@@ -287,8 +300,18 @@ class HilbertFunction:
         return hash(self._identity())
 
     def canonicalized(self) -> "HilbertFunction":
-        k1, k2, chi, period, correction = self.canonical_form()
-        return HilbertFunction(k1, k2, chi, period, correction, extrapolated=self.extrapolated)
+        return self._copy(period=self._minimal_period)
+
+
+def canonical_order(functions: Collection[HilbertFunction]) -> list[HilbertFunction]:
+    """Functions of one k1, k2 and chi, sorted by minimal period and then by their corrections there."""
+    scale = math.lcm(*(h._integer_form[0] for h in functions))
+
+    def key(h):  # the corrections as integers over one common denominator
+        den, _, _, c = h._integer_form
+        return h._minimal_period, [x * (scale // den) for x in c[: h._minimal_period]]
+
+    return sorted(functions, key=key)
 
 
 def hilbert_table(num: ModelNumerics) -> HilbertFunction:

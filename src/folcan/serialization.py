@@ -339,14 +339,17 @@ def enumerated_function_to_json(entry: EnumeratedFunction, memo: Optional[dict] 
     ``witnesses`` is the entry's tuple of :class:`Basket` as it is, which
     :func:`dumps` writes as one :func:`basket_to_json` document each.
     ``memo`` is an optional dict, kept by the caller across the entries of
-    one document, that holds each function's chi-free texts keyed on its
-    integer form, so the entries of one form at several chi share them.
+    one document, that holds each stored form's chi-free texts and integer
+    values, so the entries of one form at several chi share them. It keys on
+    the form, not on equality: equal functions stored at periods T and 2T
+    write different periods and values.
     """
     h = entry.function
-    key = h._integer_form
+    key = h._form_key()
     memo = {} if memo is None else memo
     if key not in memo:
-        memo[key] = _form_texts(h)
+        end = 2 * value_window(h)
+        memo[key] = hilbert_function_to_json(h), list(map(str, range(end + 1))), h._chi_free_values(end)
     function, keys, values = memo[key]
     chi = h.chi
     texts = h.value_texts(len(keys) - 1) if values is None else map(str, map(chi.__add__, values))
@@ -355,17 +358,3 @@ def enumerated_function_to_json(entry: EnumeratedFunction, memo: Optional[dict] 
         "witnesses": entry.witnesses,
         "values": dict(zip(keys, texts)),
     }
-
-
-def _form_texts(h: HilbertFunction) -> tuple[dict, list[str], Optional[list[int]]]:
-    # what the documents of h at any chi share: the function's members but chi
-    # and extrapolated; the keys "0" .. "2L" of its values; and its values at
-    # chi = 0 as integers, or None when one is not an integer and value_texts
-    # renders them
-    function = {"k1": rational_to_json(h.k1), "k2": rational_to_json(h.k2), "period": h.period}
-    function["correction"] = h.correction_texts()
-    den, a, b, c = h._integer_form
-    end, period = 2 * value_window(h), h.period
-    numerators = [(a * m - b) * m + c[m % period] for m in range(1, end + 1)]
-    values = None if any(map(den.__rmod__, numerators)) else [0, *map(den.__rfloordiv__, numerators)]
-    return function, list(map(str, range(end + 1))), values

@@ -61,10 +61,11 @@ def test_corrections_equal_the_fraction_definition(tmp_path, s, k1, k2):
 
 def test_enumerate_builds_no_correction_view(monkeypatch):
     # every HilbertFunction an enumerate run makes is built by _from_integers
-    # or copied by _with_chi; none of them may hold its Fraction view after
-    # the JSON document is written
+    # or copied by _copy (cusp variants, the merged forms and, through
+    # _with_chi, their chi copies); none of them may hold its Fraction view
+    # after the JSON document is written
     built = []
-    from_integers, with_chi = HilbertFunction._from_integers, HilbertFunction._with_chi
+    from_integers, copy, with_chi = HilbertFunction._from_integers, HilbertFunction._copy, HilbertFunction._with_chi
 
     def recorded(func):
         built.append(func)
@@ -72,6 +73,7 @@ def test_enumerate_builds_no_correction_view(monkeypatch):
 
     monkeypatch.setattr(HilbertFunction, "_from_integers", classmethod(lambda cls, *a: recorded(from_integers(*a))))
     monkeypatch.setattr(HilbertFunction, "_with_chi", lambda self, chi: recorded(with_chi(self, chi)))
+    monkeypatch.setattr(HilbertFunction, "_copy", lambda self, *a, **kw: recorded(copy(self, *a, **kw)))
     # the s = 60 cap 4 rungs of the benchmark ladder accept no part under the
     # exact index, so this one reads q_index_divides; s = 12 cap 6 is the
     # ladder's high-acceptance rung

@@ -53,6 +53,15 @@ def test_numerics_validation():
         ModelNumerics(k1=F(1), k2=F(0), chi=1, basket=[cusp()])
 
 
+def test_general_type_must_be_a_bool():
+    # a truthy non-bool would enforce k1 > 0 and be written as true; a falsy one would pass silently
+    for flag in ("no", "", 0, 1, None, F(1)):
+        with pytest.raises(InvalidInput, match="general_type must be a bool") as info:
+            ModelNumerics(k1=F(1), k2=F(0), chi=0, general_type=flag)
+        assert repr(flag) in str(info.value)
+    assert ModelNumerics(k1=F(1), k2=F(0), chi=0, general_type=True).general_type is True
+
+
 def test_denominators_consistent():
     good = ModelNumerics(k1=F(1, 4), k2=F(1, 2), chi=1, basket=T2x2)
     assert good.denominators_consistent()
@@ -275,18 +284,17 @@ def test_from_integers_equals_the_public_constructor():
         cases.append((k1, k2, rng.randint(-3, 3), raw, den))
     for k1, k2, chi, raw, den in cases:
         for flag in (False, True):
-            fast = HilbertFunction._from_integers(k1, k2, chi, raw, den, flag)
+            h = HilbertFunction._from_integers(k1, k2, chi, raw, den, flag)
             public = HilbertFunction(k1, k2, chi, len(raw), tuple(F(x, den) for x in raw), flag)
-            shared = HilbertFunction._from_integers(k1, k2, chi, raw, den, flag, public.correction)
-            assert shared.correction is public.correction
-            for h in (fast, shared):
-                assert dataclasses.astuple(h) == dataclasses.astuple(public)
-                assert [type(x) for x in h.correction] == [Fraction] * len(raw)
-                assert vars(h)["_integer_form"] == public._integer_form
-                assert h.canonical_form() == public.canonical_form() and h == public
-                assert hash(h) == hash(public)
-                assert h.value_texts(30) == public.value_texts(30)
-                assert dumps(hilbert_function_to_json(h)) == dumps(hilbert_function_to_json(public))
+            # the public constructor keeps the tuple it is given as the view; h builds its own
+            assert "correction" in vars(public) and "correction" not in vars(h)
+            assert dataclasses.astuple(h) == dataclasses.astuple(public)
+            assert [type(x) for x in h.correction] == [Fraction] * len(raw)
+            assert vars(h)["_integer_form"] == public._integer_form
+            assert h.canonical_form() == public.canonical_form() and h == public
+            assert hash(h) == hash(public)
+            assert h.value_texts(30) == public.value_texts(30)
+            assert dumps(hilbert_function_to_json(h)) == dumps(hilbert_function_to_json(public))
 
 
 def test_equality_across_periods():
@@ -573,10 +581,13 @@ def test_cusp_variants_equal_the_numerics_of_their_basket():
     rng = random.Random(20261020)
     letters = [dihedral_zero(1), dihedral_zero(2), dihedral_half()] + [terminal_cyclic(n) for n in (2, 3, 4, 5, 6)]
     verdicts = set()
-    for _ in range(150):
+    for draw in range(150):
         part = Basket(tuple(rng.choices(letters, k=rng.randint(0, 4))))
         k1, k2 = F(rng.randint(1, 6), rng.choice((1, 2, 3))), F(rng.randint(-6, 6), rng.choice((1, 2)))
         base = ModelNumerics(k1=k1, k2=k2, chi=rng.randint(-2, 2), basket=part)
+        viewed = draw % 2 == 0
+        if viewed:  # the part's Fraction view is built before the shift, and must not carry over
+            assert len(hilbert_table(base).correction) == hilbert_table(base).period
         for cusps in range(3):
             basket = Basket(part.profiles + (cusp(),) * cusps)
             shifted = base._with_cusps(basket, cusps)
@@ -586,6 +597,8 @@ def test_cusp_variants_equal_the_numerics_of_their_basket():
             assert hilbert_table(shifted) == hilbert_table(fresh)
             assert hilbert_table(shifted).extrapolated == hilbert_table(fresh).extrapolated
             assert shifted._verdict == fresh._verdict
+            if viewed:
+                assert hilbert_table(shifted).correction == hilbert_table(fresh).correction
             verdicts.add(integrality_check(shifted))
     assert verdicts == {False, True}
 

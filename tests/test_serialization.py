@@ -360,3 +360,15 @@ def test_enumerated_documents_are_rendered_once_per_form():
             integral.add(all(h.value(m).denominator == 1 for m in range(end + 1)))
     assert integral == {False, True}
     assert len(memo) <= 60  # one entry per form, shared by its chi copies
+    # equal functions stored at periods T and 2T write different periods and
+    # values keys, so one memo shared by both must not key on their equality
+    base = HilbertFunction(k1=F(1), k2=F(0), chi=1, period=2, correction=(F(0), F(-1, 2)))
+    doubled = HilbertFunction(k1=F(1), k2=F(0), chi=1, period=4, correction=base.correction * 2)
+    assert base == doubled and value_window(base) != value_window(doubled)
+    shared = {}
+    for h in (base, doubled, base, doubled):
+        entry = EnumeratedFunction(h, ())
+        document = enumerated_function_to_json(entry, shared)
+        assert document == enumerated_function_to_json(entry)
+        assert document["function"]["period"] == h.period and len(document["values"]) == 2 * value_window(h) + 1
+    assert len(shared) == 2
