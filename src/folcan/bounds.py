@@ -42,10 +42,10 @@ from .exact_core import as_rational, check_int, check_limit
 from .riemann_roch import (
     HilbertFunction,
     ModelNumerics,
+    _unit_weights,
     canonical_order,
     check_period,
     integrality_check,
-    quadratic_numerators,
     to_hilbert_function,
 )
 
@@ -209,18 +209,12 @@ def _part_decisions(query: EnumerationQuery, letters: tuple) -> Iterator[bool]:
     (lcm, weight mod den, letters still allowed) triples, and the parts of
     size cap are decided from level cap - 1 without building theirs.
     """
-    # per letter: its index, and den times its m = 1 term t[1 % len(t)] / d,
-    # an integer since den is a multiple of every d; den P(1) = a - b +
-    # den (chi - cusps) + the part's weights, so P(1) is an integer exactly
-    # when the weights sum to b - a mod den
-    den, a, b = quadratic_numerators(query.k1, query.k2, *(p.term_numerators[0] for p in letters))
+    # P(1) is an integer exactly when the part's m = 1 weights sum to target mod den
+    den, weights, target = _unit_weights(query.k1, query.k2, letters)
     # after[i]: (index, weight, after[j]) of each letter j >= i, the letters
     # that may follow a part whose last letter is i (after[0] for the empty part)
     after = [[] for _ in range(len(letters) + 1)]
-    steps = [
-        (p.local_index or 1, t[1 % len(t)] * (den // d), later)
-        for p, (d, t), later in zip(letters, (p.term_numerators for p in letters), after)
-    ]
+    steps = [(p.local_index or 1, w, later) for p, w, later in zip(letters, weights, after)]
     for i, later in enumerate(after):
         later.extend(steps[i:])
     lcm = math.lcm
@@ -229,7 +223,7 @@ def _part_decisions(query: EnumerationQuery, letters: tuple) -> Iterator[bool]:
         return [(lcm(q, n), (w + x) % den, later) for q, w, follow in level for n, x, later in follow]
 
     # every letter's index divides s, so under q_index_divides every lcm does
-    s, divides, target = query.s, query.q_index_divides, (b - a) % den
+    s, divides = query.s, query.q_index_divides
 
     def longer(level):  # the decisions of the parts one letter longer than level's
         return [(divides or lcm(q, n) == s) and (w + x) % den == target for q, w, follow in level for n, x, _ in follow]

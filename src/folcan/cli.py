@@ -31,11 +31,14 @@ inputs. ``enumerate --workers N`` is accepted (N must be a positive
 integer) and ignored; the library takes no worker count. ``--no-cusps``
 means ``--max-cusps 0``. There is no ``--seed``: nothing here is random.
 
-The flat reports (``intersect``, ``bounds`` and a single ``example``) share
-one renderer: a JSON object with sorted keys, or ``quantity,value`` CSV rows
-(vectors as space-separated rationals, booleans as ``true``/``false``).
-``hilbert``, ``enumerate`` and example sweeps are tables with their own
-columns.
+The handlers put values, not texts, into their reports: Fractions, vectors,
+booleans and integers. The flat reports (``intersect``, ``bounds`` and a
+single ``example``) share one renderer: a JSON object with sorted keys, in
+which ``dumps`` writes each Fraction as its canonical string, or
+``quantity,value`` CSV rows. ``hilbert``, ``enumerate`` and example sweeps
+are tables with their own columns. Every CSV cell follows one rule
+(:func:`_cell`): a rational in its canonical form, a vector as its
+space-separated cells, a boolean as ``true``/``false``.
 """
 
 from __future__ import annotations
@@ -174,29 +177,29 @@ def _load_json(path: str):
         return json.load(handle)
 
 
+def _cell(value) -> str:
+    """The one CSV cell rule: ``true``/``false``, a rational's canonical text, a vector's space-joined cells."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, (list, tuple)):
+        return " ".join(map(_cell, value))
+    return str(value)
+
+
 def _csv_text(rows: Sequence[Sequence]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
+    writer.writerows(map(_cell, row) for row in rows)
     return buffer.getvalue()
-
-
-def _vector_cell(v) -> str:
-    return " ".join(format_rational(x) for x in v)
 
 
 def _render_flat(payload: dict, output_format: str) -> str:
     """A flat report as its JSON object, or as ``quantity,value`` rows in payload order."""
     if output_format == "json":
         return ser.dumps(payload)
-    rows = [["quantity", "value"]]
-    for key, value in payload.items():
-        if isinstance(value, bool):
-            value = str(value).lower()
-        elif isinstance(value, list):
-            value = " ".join(value)
-        rows.append([key, value])
-    return _csv_text(rows)
+    return _csv_text([["quantity", "value"], *payload.items()])
 
 
 # ---------------------------------------------------------------- commands
@@ -228,11 +231,11 @@ def _cmd_intersect(args) -> str:
     pullback_left = mumford_pullback(resolution, left)  # validates the length of left
     pullback_right = mumford_pullback(resolution, right)
     payload = {
-        "left": ser.vector_to_json(left),
-        "right": ser.vector_to_json(right),
-        "pullback_left": ser.vector_to_json(pullback_left),
-        "pullback_right": ser.vector_to_json(pullback_right),
-        "value": format_rational(_pair_pullbacks(resolution, pullback_left, pullback_right)),
+        "left": left,
+        "right": right,
+        "pullback_left": pullback_left,
+        "pullback_right": pullback_right,
+        "value": _pair_pullbacks(resolution, pullback_left, pullback_right),
     }
     return _render_flat(payload, args.output_format)
 
@@ -270,48 +273,22 @@ def _cmd_enumerate(args) -> str:
         rows = [["k1", "k2", "chi", "period", "correction", "extrapolated", "witness_count"]]
         for entry in found:
             h = entry.function
-            rows.append(
-                [
-                    format_rational(h.k1),
-                    format_rational(h.k2),
-                    h.chi,
-                    h.period,
-                    " ".join(h.correction_texts()),
-                    str(h.extrapolated).lower(),
-                    len(entry.witnesses),
-                ]
-            )
+            rows.append([h.k1, h.k2, h.chi, h.period, h.correction_texts(), h.extrapolated, len(entry.witnesses)])
         return _csv_text(rows)
     memo: dict = {}  # each function's chi-free texts, shared by its entries at every chi
     payload = {
         "count": len(found),
         "functions": [ser.enumerated_function_to_json(entry, memo) for entry in found],
-        "query": {
-            "k1": format_rational(query.k1),
-            "k2": format_rational(query.k2),
-            "s": query.s,
-            "chi_set": sorted(query.chi_set),
-            "basket_cap": query.basket_cap,
-            "max_cusps": query.max_cusps,
-            "q_index_divides": query.q_index_divides,
-        },
+        "query": {**vars(query), "chi_set": sorted(query.chi_set)},
     }
     return ser.dumps(payload)
 
 
 def _cmd_bounds(args) -> str:
     report = kx2_bounds(args.k1, args.k2, args.s)
-    payload = {
-        "kx2_upper": format_rational(report.kx2_upper),
-        "kx2_lower_exclusive": format_rational(report.kx2_lower_exclusive),
-        "interval_empty": report.interval_empty,
-    }
-    if report.kx2_lower_exclusive_variant is not None:
-        payload["kx2_lower_exclusive_variant"] = format_rational(report.kx2_lower_exclusive_variant)
+    payload = {name: value for name, value in vars(report).items() if value is not None}
     if args.kx2 is not None:
-        d_squared, d_dot_kx = ample_divisor_numerics(args.k1, args.k2, args.kx2, args.s)
-        payload["D_squared"] = format_rational(d_squared)
-        payload["D_dot_KX"] = format_rational(d_dot_kx)
+        payload["D_squared"], payload["D_dot_KX"] = ample_divisor_numerics(args.k1, args.k2, args.kx2, args.s)
         payload["kx2_in_window"] = bool(
             report.kx2_lower_exclusive < args.kx2 <= report.kx2_upper
         )
@@ -319,16 +296,9 @@ def _cmd_bounds(args) -> str:
 
 
 def _flat_report(report: ConstructionReport) -> dict:
-    flat: dict[str, object] = {
-        "kf2": format_rational(report.kf2),
-        "kf_dot_kx": format_rational(report.kf_dot_kx),
-        "fiber_genus": report.fiber_genus,
-    }
+    flat: dict[str, object] = {"kf2": report.kf2, "kf_dot_kx": report.kf_dot_kx, "fiber_genus": report.fiber_genus}
     for name in sorted(report.auxiliary):
-        value = report.auxiliary[name]
-        flat[f"aux_{name}"] = (
-            _vector_cell(value) if isinstance(value, tuple) else format_rational(value)
-        )
+        flat[f"aux_{name}"] = _cell(report.auxiliary[name])
     flat["assumptions"] = "; ".join(report.assumptions)
     return flat
 
@@ -353,12 +323,8 @@ def _cmd_example(args) -> str:
         return ser.dumps(
             [{name: value, **_flat_report(report)} for value, report in reports]
         )
-    rows = [[name, "kf2", "kf_dot_kx", "fiber_genus"]]
-    for value, report in reports:
-        rows.append(
-            [value, format_rational(report.kf2), format_rational(report.kf_dot_kx), report.fiber_genus]
-        )
-    return _csv_text(rows)
+    rows = [[value, report.kf2, report.kf_dot_kx, report.fiber_genus] for value, report in reports]
+    return _csv_text([[name, "kf2", "kf_dot_kx", "fiber_genus"], *rows])
 
 
 _HANDLERS = {
@@ -371,7 +337,7 @@ _HANDLERS = {
 
 
 def _error_payload(code: str, message: str, context: dict) -> str:
-    # dumps' writer; a context value JSON cannot hold is written as its str
+    # dumps' writer: a Fraction as its canonical string, any other value JSON cannot hold as its str
     body = {"error": {"code": code, "message": message, "context": context}}
     return ser._write(body, str)
 
@@ -409,3 +375,7 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

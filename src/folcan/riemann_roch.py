@@ -30,9 +30,9 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
-from .baskets import Basket, basket_term, basket_uses_extrapolation, q_index
+from .baskets import Basket, LocalProfile, basket_term, basket_uses_extrapolation, q_index
 from .errors import InvalidInput, NotIntegral
 from .exact_core import as_rational, check_int, check_limit, format_rational
 
@@ -149,7 +149,7 @@ def integrality_window(num: ModelNumerics) -> int:
     return window_length(check_period(q_index(num.basket)), num.k1, num.k2)
 
 
-def quadratic_numerators(k1: Fraction, k2: Fraction, *denominators: int) -> tuple[int, int, int]:
+def _quadratic_numerators(k1: Fraction, k2: Fraction, *denominators: int) -> tuple[int, int, int]:
     """``(D, a, b)`` with D = lcm(2 den k1, 2 den k2, *denominators), a = D k1 / 2, b = D k2 / 2.
 
     D (k1 m^2 - k2 m) / 2 = (a m - b) m, an integer for every integer m, and
@@ -159,6 +159,19 @@ def quadratic_numerators(k1: Fraction, k2: Fraction, *denominators: int) -> tupl
     a = k1.numerator * (den // (2 * k1.denominator))
     b = k2.numerator * (den // (2 * k2.denominator))
     return den, a, b
+
+
+def _unit_weights(k1: Fraction, k2: Fraction, letters: Sequence[LocalProfile]) -> tuple[int, list[int], int]:
+    """``(D, w, target)`` for P(1) of any basket over ``letters`` and cusps, at any chi.
+
+    D is a multiple of every letter's term denominator, w[i] is D times letter
+    i's term at m = 1, and target = (b - a) mod D for the form's a and b. D P(1)
+    = a - b + D (chi - cusps) + the basket's weights, so P(1) is an integer
+    exactly when the weights sum to target mod D.
+    """
+    tables = [p.term_numerators for p in letters]
+    den, a, b = _quadratic_numerators(k1, k2, *(d for d, _ in tables))
+    return den, [t[1 % len(t)] * (den // d) for d, t in tables], (b - a) % den
 
 
 def integrality_check(num: ModelNumerics) -> bool:
@@ -214,7 +227,7 @@ class HilbertFunction:
         Its form is over D = lcm(2 den(k1), 2 den(k2), den / gcd(den, *raw)) and shares ``raw`` if den = D.
         """
         lowest = den // math.gcd(den, *raw)  # the corrections' own common denominator
-        lcd, a, b = quadratic_numerators(k1, k2, lowest)
+        lcd, a, b = _quadratic_numerators(k1, k2, lowest)
         c = raw if lcd == den else tuple(x // (den // lowest) * (lcd // lowest) for x in raw)
         func = object.__new__(cls)
         func.__dict__.update(

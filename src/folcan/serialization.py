@@ -17,8 +17,10 @@ sort_keys=True)`` plus a newline writes, in one recursive pass that escapes
 every string with the C ``encode_basestring_ascii`` (the indenting
 ``json.dumps`` falls back to a pure-Python encoder). It takes string keys
 only and writes no floats: the package has neither. A payload may hold a
-:class:`Basket` or :class:`LocalProfile` as it is, as the enumerate
-document holds its witnesses; its text is made once per indent per call.
+``Fraction``, written as its canonical "p/q" string, so callers put exact
+values in and never spell them; and a :class:`Basket` or
+:class:`LocalProfile` as it is, as the enumerate document holds its
+witnesses; its text is made once per indent per call.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ def _document(value):
 def dumps(payload: Any) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-    A :class:`Basket` or :class:`LocalProfile` in the payload is written as
+    A ``Fraction`` in the payload is written as its canonical string
+    (``format_rational``), as if the payload held that text. A
+    :class:`Basket` or :class:`LocalProfile` in the payload is written as
     its document (:func:`basket_to_json`, :func:`profile_to_json`), and
     each one once per indent, however often the payload repeats it. Dict
     keys must be strings and no value may be a float; either raises
@@ -87,8 +91,9 @@ def _write(payload: Any, default: Callable[[Any], Any]) -> str:
 
 def _append(chunks: list, head: str, value, pad: str, render) -> None:
     # head and then value; pad is the newline and indent of value's line.
-    # A scalar member is one chunk, separator and key included; a value JSON
-    # cannot hold is one chunk, its text from render(value, pad)
+    # A scalar member is one chunk, separator and key included, a Fraction
+    # among them as its canonical string; a value JSON cannot hold is one
+    # chunk, its text from render(value, pad)
     if isinstance(value, str):
         chunks.append(head + _quote(value))
     elif isinstance(value, dict):
@@ -122,6 +127,8 @@ def _append(chunks: list, head: str, value, pad: str, render) -> None:
         chunks.append(head + ("true" if value else "false"))
     elif isinstance(value, int):
         chunks.append(head + int.__repr__(value))
+    elif isinstance(value, Fraction):
+        chunks.append(f'{head}"{format_rational(value)}"')
     else:
         chunks.append(head + render(value, pad))
 

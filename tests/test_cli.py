@@ -2,7 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import pathlib
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -394,6 +398,21 @@ def test_hilbert_mmax_limit(numerics_file, monkeypatch):
     assert error["code"] == "invalid_input"
     assert error["message"] == "--mmax 6 is above the limit of 5"
     assert error["context"] == {"mmax": 6, "limit": 5}
+
+
+def test_module_runs_as_a_script(numerics_file):
+    # python -m folcan.cli is the console script: same output, same exit status
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
+
+    def script(*argv):
+        return subprocess.run([sys.executable, "-m", "folcan.cli", *argv], env=env, capture_output=True, text=True)
+
+    argv = ["bounds", "--k1", "1", "--k2", "0", "--s", "1"]
+    done = script(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == invoke(argv) and done.stdout
+    done = script("hilbert", "--numerics", numerics_file, "--mmax", "100001")
+    assert done.returncode == 2 and done.stdout == ""
+    assert json.loads(done.stderr)["error"]["code"] == "invalid_input"
 
 
 def test_example_sweep_limit_returns_at_once(monkeypatch):

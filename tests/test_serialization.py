@@ -190,7 +190,8 @@ def _random_scalar(rng):
         return rng.choice(list(SingularityKind))
     if roll == 4:
         return rng.randint(-3, 3)
-    return format_rational(F(rng.randint(-99, 99), rng.randint(1, 9)))
+    value = F(rng.randint(-99, 99), rng.randint(1, 9))
+    return value if roll == 5 else format_rational(value)
 
 
 def _random_payload(rng, depth):
@@ -202,6 +203,17 @@ def _random_payload(rng, depth):
     if roll == 2:
         return tuple(_random_payload(rng, depth - 1) for _ in range(rng.randint(0, 3)))
     return _random_scalar(rng)
+
+
+def _texts(payload):
+    # the payload with each Fraction replaced by its canonical text, as dumps writes it
+    if isinstance(payload, Fraction):
+        return format_rational(payload)
+    if isinstance(payload, dict):
+        return {key: _texts(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return type(payload)(map(_texts, payload))
+    return payload
 
 
 def _walk(payload):
@@ -223,29 +235,40 @@ _FEATURES = {
     "big int": lambda x: isinstance(x, int) and abs(x) >= 2**64,
     "negative int": lambda x: isinstance(x, int) and x < 0,
     "bool or None": lambda x: x is None or isinstance(x, bool),
+    "negative fraction": lambda x: isinstance(x, Fraction) and x < 0,
+    "integral fraction": lambda x: isinstance(x, Fraction) and x.denominator == 1,
+    "fraction in a tuple": lambda x: isinstance(x, tuple) and any(isinstance(y, Fraction) for y in x),
     "control or quote": lambda x: isinstance(x, str) and any(c in x for c in '\x00\x1f\n"\\'),
     "non-ASCII": lambda x: isinstance(x, str) and not x.isascii(),
 }
 
 
 def test_dumps_matches_json_dumps():
-    # dumps is its own indent writer; json.dumps(indent=2, sort_keys=True) is the reference
+    # dumps is its own indent writer; json.dumps(indent=2, sort_keys=True) is the
+    # reference, with each Fraction replaced by its canonical text
+    from folcan.cli import _error_payload
+
     rng = random.Random(1811)
     seen = dict.fromkeys(_FEATURES, 0)
     for _ in range(600):
         payload = _random_payload(rng, rng.randint(0, 4))
-        assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n", payload
+        expected = json.dumps(_texts(payload), indent=2, sort_keys=True) + "\n"
+        assert dumps(payload) == expected, payload
         parts = list(_walk(payload))
         for name, feature in _FEATURES.items():
             seen[name] += any(feature(x) for x in parts)
     assert min(seen.values()) >= 20, seen
     edge_cases = ({}, [], (), "", 0, -(2**70), True, None, {"k": SingularityKind.NON_QGOR_CUSP},
-                  {SingularityKind.DIHEDRAL_HALF: 1})
+                  {SingularityKind.DIHEDRAL_HALF: 1}, F(0), F(-7), F(-2**70, 3),
+                  {"v": (F(1, 2), [F(-3), {"w": F(5, 3)}])})
     for payload in edge_cases:
-        assert dumps(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n", payload
+        assert dumps(payload) == json.dumps(_texts(payload), indent=2, sort_keys=True) + "\n", payload
+        # the error writer spells a Fraction in its context the same way
+        body = {"error": {"code": "c", "message": "m", "context": {"value": _texts(payload)}}}
+        assert _error_payload("c", "m", {"value": payload}) == json.dumps(body, indent=2, sort_keys=True) + "\n"
     with pytest.raises(TypeError):
         dumps({"k": object()})
-    for refused in ({"k": 0.5}, {1: "keys are strings"}):
+    for refused in (0.5, {"k": 0.5}, {1: "keys are strings"}):
         with pytest.raises(TypeError):
             dumps(refused)
 
