@@ -176,14 +176,27 @@ def uses_extrapolation(profile: LocalProfile, m: int) -> bool:
     return r not in (0, 1, profile.local_index - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Basket:
-    """Finite multiset of local profiles, stored in canonical order."""
+    """Finite multiset of local profiles, stored in canonical order.
+
+    Slotted: ``profiles`` is the one slot and an instance has no ``__dict__``.
+    A non-iterable, or any entry that is not a :class:`LocalProfile`, raises
+    :class:`InvalidInput` naming it.
+    """
 
     profiles: tuple[LocalProfile, ...] = ()
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.profiles, key=operator.attrgetter("sort_key")))
+        try:
+            entries = iter(self.profiles)
+        except TypeError:
+            raise InvalidInput(f"a basket takes an iterable of local profiles, got {self.profiles!r}") from None
+        entries = tuple(entries)
+        for entry in entries:
+            if not isinstance(entry, LocalProfile):
+                raise InvalidInput(f"basket entries must be local profiles, got {entry!r}")
+        ordered = tuple(sorted(entries, key=operator.attrgetter("sort_key")))
         object.__setattr__(self, "profiles", ordered)
 
     @classmethod

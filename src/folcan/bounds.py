@@ -121,10 +121,10 @@ def enumerate_baskets(s: int, cap: int, max_cusps: int) -> Iterator[Basket]:
     max_cusps since they do not constrain the index. The scan comes in
     consecutive groups of max_cusps + 1 baskets, one group per finite-index
     part (a combination of the alphabet), carrying 0, 1, ..., max_cusps
-    cusps in that order. Each basket is made in canonical order, so none is
-    sorted: a combination of the alphabet is in canonical order already, and
-    the cusps go in at their sorted position. With cap 0 the O(sqrt s)
-    alphabet is not built.
+    cusps in that order. Each basket is made in canonical order and its one
+    slot is set directly, with no sort: a combination of the alphabet is in
+    canonical order already, and the cusps go in at their sorted position.
+    With cap 0 the O(sqrt s) alphabet is not built.
     """
     s = check_int(s, "s", 1)
     check_int(cap, "cap")
@@ -135,18 +135,20 @@ def enumerate_baskets(s: int, cap: int, max_cusps: int) -> Iterator[Basket]:
     # the letters that sort before a cusp are a prefix of the alphabet, so a
     # combination's cusp slot is the count of its positions below that prefix's end
     low = bisect.bisect_left(letters, shared_cusp.sort_key, key=operator.attrgetter("sort_key"))
-    new, put = object.__new__, object.__setattr__
+    new, fill = object.__new__, Basket.profiles.__set__
     for size in range(cap + 1):
         combos = itertools.combinations_with_replacement(letters, size)
-        for combo, pos in zip(combos, itertools.combinations_with_replacement(range(len(letters)), size)):
-            basket = new(Basket)  # canonical already, so built without the sort
-            put(basket, "profiles", combo)
+        positions = itertools.combinations_with_replacement(range(len(letters)), size)
+        for combo, at in zip(combos, map(bisect.bisect_left, positions, itertools.repeat(low))):
+            basket = new(Basket)
+            fill(basket, combo)
             yield basket
-            at = bisect.bisect_left(pos, low)
+            if not runs:
+                continue
             head, tail = combo[:at], combo[at:]
             for run in runs:
                 basket = new(Basket)
-                put(basket, "profiles", head + run + tail)
+                fill(basket, head + run + tail)
                 yield basket
 
 
@@ -185,7 +187,7 @@ class EnumeratedFunction:
 
 
 # the most baskets one enumerate_hilbert query may span (s = 60, cap = 8,
-# max_cusps = 2 spans 959,310 and takes 1.1-1.9 s through cli.run, in-process,
+# max_cusps = 2 spans 959,310 and takes 0.9-1.7 s through cli.run, in-process,
 # on a 2-core VM); larger queries are refused before any basket is generated
 MAX_BASKETS = 1_000_000
 
@@ -226,7 +228,8 @@ def _part_decisions(query: EnumerationQuery, letters: tuple) -> Iterator[bool]:
     s, divides = query.s, query.q_index_divides
 
     def longer(level):  # the decisions of the parts one letter longer than level's
-        return [(divides or lcm(q, n) == s) and (w + x) % den == target for q, w, follow in level for n, x, _ in follow]
+        # the residue test first: it is cheaper than the lcm and fails for most parts
+        return [(w + x) % den == target and (divides or lcm(q, n) == s) for q, w, follow in level for n, x, _ in follow]
 
     cap = query.basket_cap
     # levels 0 .. cap - 1, each deciding the parts one letter longer, so level cap is never built

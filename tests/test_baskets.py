@@ -142,6 +142,29 @@ def test_basket_canonical_order():
     assert len(a) == 3
 
 
+def test_basket_refuses_what_is_not_a_profile():
+    # a non-iterable, or an entry that is not a LocalProfile, is refused with
+    # InvalidInput naming it, as the other constructors refuse bad input
+    for bad in (terminal_cyclic(3), 3, None):
+        with pytest.raises(InvalidInput, match="a basket takes an iterable of local profiles") as info:
+            Basket(bad)
+        assert repr(bad) in str(info.value)
+    for entries, offender in ((("x",), "x"), ("cusp", "c"), ([cusp(), None], None),
+                              ((terminal_cyclic(2), SingularityKind.NON_QGOR_CUSP), SingularityKind.NON_QGOR_CUSP),
+                              ((dihedral_half(), (dihedral_half(),)), (dihedral_half(),))):
+        with pytest.raises(InvalidInput, match="basket entries must be local profiles") as info:
+            Basket(entries)
+        assert str(info.value).endswith(f"got {offender!r}")
+        assert info.value.code == "invalid_input"
+    with pytest.raises(InvalidInput, match="got 'x'"):
+        Basket.of(cusp(), "x")
+    # any iterable of profiles is taken and stored as a sorted tuple
+    expected = Basket.of(dihedral_half(), terminal_cyclic(2), cusp())
+    assert Basket([cusp(), terminal_cyclic(2), dihedral_half()]) == expected
+    assert Basket(p for p in (terminal_cyclic(2), cusp(), dihedral_half())) == expected
+    assert type(Basket(iter([cusp()])).profiles) is tuple
+
+
 def test_basket_term_examples():
     assert basket_term(Basket(), 5) == 0
     assert basket_term(Basket.of(terminal_cyclic(2), terminal_cyclic(2)), 1) == F(-1, 2)

@@ -373,6 +373,42 @@ def test_enumerate_baskets_groups_each_part_with_its_cusps():
             assert len(parts) == 1 and cusps == list(range(max_cusps + 1)), (s, cap, max_cusps, chunk)
 
 
+def test_scanned_baskets_keep_the_slotted_contract():
+    # enumerate_baskets fills each basket's one slot directly; every basket it
+    # yields must still behave as one made by the sorting constructor, and
+    # pickling differs between versions for slotted frozen dataclasses
+    import copy
+    import dataclasses
+    import pickle
+
+    rng = random.Random(20261020)
+    # odd s puts the cusps after letter 1 of the alphabet, even s after letter 3
+    draws = [(rng.choice((1, 3, 5, 9, 15, 45)), rng.randint(1, 3), rng.randint(1, 2)) for _ in range(3)]
+    draws += [(rng.choice((2, 6, 12, 30, 60)), rng.randint(1, 3), rng.randint(1, 2)) for _ in range(3)]
+    draws += [(rng.choice((1, 2, 9, 12, 60)), rng.randint(0, 3), 0) for _ in range(3)]
+    for s, cap, max_cusps in draws:
+        for basket in enumerate_baskets(s, cap, max_cusps):
+            assert type(basket) is Basket
+            resorted = Basket(basket.profiles[::-1])
+            assert basket == resorted and hash(basket) == hash(resorted), (s, cap, max_cusps, basket)
+            assert not hasattr(basket, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                basket.profiles = ()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del basket.profiles
+            # a name that is no field has no slot to go to; the frozen
+            # __setattr__ of a slotted dataclass raises TypeError for it on
+            # some versions, where a dict-backed one raised FrozenInstanceError
+            with pytest.raises((AttributeError, TypeError)):
+                basket.extra = 1
+            for twin in (pickle.loads(pickle.dumps(basket)), copy.deepcopy(basket), copy.copy(basket)):
+                assert type(twin) is Basket and twin == basket and twin.profiles == basket.profiles
+                assert hash(twin) == hash(basket)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        basket = Basket.of(cusp(), terminal_cyclic(5), dihedral_half())
+        assert pickle.loads(pickle.dumps(basket, protocol)) == basket, protocol
+
+
 def test_part_decisions_walk_in_step_with_the_scan():
     # enumerate_hilbert compresses the scan's groups with the decisions that
     # _part_decisions yields: each must be the verdict of the index and P(1)
