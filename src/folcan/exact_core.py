@@ -22,17 +22,18 @@ enters a product or a solve as its numerators over one denominator, so a
 product or a pairing builds Fractions only for what it returns.
 
 A pairing is factored at most once: its first :func:`signature` or
-:func:`solve_linear` call computes the congruence P^T A P = D
-(:attr:`SymmetricPairing.congruence`) and keeps it on the instance, so the
-inertia and every later solve read the same factor. The factor is held in
-integers and recorded once: P as one run of column operations per pivot,
-in elimination order, whose coefficients share the pivot's denominator,
-and D as reduced numerator/denominator pairs. A solve reads the runs
-forward as scatters and backward as gathers. Elimination and solving
-keep their working values as Python ints and normalise once (one gcd)
-per row update, per forward update and per run of the backward pass,
-the integer-preserving idea of Bareiss's fraction-free elimination, and
-build Fractions only for what they return.
+:func:`solve_linear` call computes its fraction-free symmetric factor
+(:attr:`SymmetricPairing.congruence`, a :class:`Factor`) and keeps it on the
+instance, so the inertia and every later solve read the same factor. The
+factor is integer-preserving elimination (Bareiss) of the integer form: it
+stores the pivot order, each pivot's row of Bareiss entries, the leading
+minors p_t in pivot order, the hyperbolic shears taken at zero pivots and
+the positions of the zero block. Every stored entry is a minor, so every
+division of the elimination and of a solve is exact and no common divisor
+is taken out; Fractions are built only for what a solve returns. Factoring
+costs O(n) on a (-2)-chain (after the O(n^2) row scan) and O(n^3) on a
+dense form; a solve costs O(nnz) of the factor, and refuses a singular form
+with :class:`~folcan.errors.SingularMatrix`.
 
 Rationals cross every file boundary as the canonical string ``p/q`` (bare
 ``p`` when the denominator is 1); :func:`parse_rational` is strict about the
@@ -51,7 +52,7 @@ from fractions import Fraction
 from itertools import chain, compress, islice
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, InvalidInput, SingularMatrix
 
@@ -309,169 +310,161 @@ class SymmetricPairing:
         return sub
 
     @cached_property
-    def congruence(self) -> tuple[
-        tuple[tuple[int, tuple[tuple[int, int], ...], int], ...],
-        tuple[tuple[int, int], ...],
-    ]:
-        """Symmetric congruence P^T A P = D in integers, computed once and kept on the instance.
+    def congruence(self) -> Factor:
+        """The fraction-free symmetric factor of the integer form, computed once and kept on the instance.
 
-        Returns ``(runs, diagonal)``. P is the product, in elimination order,
-        of the runs' column operations: a run ``(k, terms, m)`` adds
-        c/m * column k to column l for each ``(l, c)`` in ``terms``, so a
-        run's coefficients share its pivot's denominator m (which may be
-        negative). A pivot's run has m = a_kk and c = -a_kl in the pivot
-        row's integer scale; the hyperbolic step e_i -> e_i + e_j is the
-        run ``(j, ((i, 1),), 1)``; along a chain every run has one term.
-        ``diagonal[k]`` is D's entry at position k as the reduced pair
-        ``(numerator, denominator)``, so a zero entry is always ``(0, 1)``.
-        :func:`solve_linear` reads the runs forward as scatters and
-        backward as gathers.
-        Elimination starts from the integer rows of :attr:`nonzeros`, each
-        over :attr:`_scale`, keeps each row as integer numerators over one
-        positive row denominator, touches each row's nonzeros only (after
-        the O(n^2) scan of :attr:`nonzeros`, a tridiagonal form such as a
-        (-2)-chain costs O(n) to eliminate) and normalises a row by one gcd
-        after each update, so no rational is built per multiply-add.
-        Pivots are taken in position order; a zero diagonal forces either a
-        symmetric swap to a later nonzero diagonal or, when every remaining
-        diagonal is zero, the hyperbolic step for a nonzero a_ij, which
-        makes the new diagonal 2 a_ij. A remaining block that is
-        identically zero contributes zeros to D.
+        With N the int rows (A times :attr:`_scale`) and Q the product of
+        the factor's shears in order, the :class:`Factor` satisfies
+        Q^T N Q = U^T diag(1 / (p_{t-1} p_t)) U: U has one row per pivot t,
+        holding the minor p_t at column ``order[t]`` and ``rows[t]``
+        elsewhere (the Schur complement left on the zero block is zero).
+        Every entry is a minor of Q^T N Q (Bareiss), so each update divides
+        exactly by an earlier minor and no common divisor is taken out.
+
+        Pivots: the first pending position with a nonzero diagonal; when
+        every pending diagonal is zero, the shear e_k -> e_k + e_j for the
+        first pending k with a nonzero row, j the least column of that row,
+        makes the diagonal at k twice a_kj and k the next pivot. When every
+        pending row is zero, the pending positions are the zero block.
+
+        Cost: a row is rescaled only when a pivot touches it, so after the
+        O(n^2) scan of :attr:`nonzeros` a tridiagonal form such as a
+        (-2)-chain costs O(n) and keeps n - 1 off-diagonal entries; a dense
+        form costs O(n^3) int operations.
         """
-        n = self.dimension
         rows = list(map(dict, self.nonzeros))
-        dens = [self._scale] * n
-        diagonal = [(0, 1)] * n
-        runs = []
+        seen = [0] * len(rows)  # the number of pivots each row has been brought past
+        minors, order, pivots, shears = [1], [], [], []
 
-        def settle(i: int, row: dict, den: int) -> None:
-            # divide row i and den by their gcd, signed so den > 0, and drop zeros
-            g = gcd(den, *row.values()) if den > 0 else -gcd(den, *row.values())
-            rows[i] = {j: a // g for j, a in row.items() if a}
-            dens[i] = den // g
+        def at(i: int, t: int) -> dict:
+            # row i brought past t pivots: times p_t / p_s, an exact division
+            s = seen[i]
+            if s != t:
+                p, q = minors[t], minors[s]
+                rows[i] = {m: a * p // q for m, a in rows[i].items()}
+                seen[i] = t
+            return rows[i]
 
-        pending = list(range(n))
+        pending = list(range(len(rows)))
         while pending:
+            t = len(order)
             k = next((i for i in pending if i in rows[i]), None)
             if k is None:
                 k = next((i for i in pending if rows[i]), None)
                 if k is None:
                     break
-                # hyperbolic step e_k -> e_k + e_j: row k becomes row k + row j,
-                # column k of every other row becomes column k + column j
+                # e_k -> e_k + e_j: row k becomes row k + row j, and column k
+                # becomes column k + column j in every other row, pivot rows too
                 j = min(rows[k])
-                runs.append((j, ((k, 1),), 1))
-                rk, rj, dk, dj = rows[k], rows[j], dens[k], dens[j]
-                new = {m: rk.get(m, 0) * dj + rj.get(m, 0) * dk for m in rk.keys() | rj.keys()}
-                new[k] = new.get(k, 0) + new.get(j, 0)
-                for l in rk.keys() | rj.keys():
-                    if l != k:
-                        rows[l][k] = rows[l].get(k, 0) + rows[l].get(j, 0)
-                        if not rows[l][k]:
-                            del rows[l][k]
-                settle(k, new, dk * dj)
+                shears.append((k, j))
+                rk, rj = at(k, t), at(j, t)
+                keys = rk.keys() | rj.keys()
+                new = {m: rk.get(m, 0) + rj.get(m, 0) for m in keys}
+                new[k] += new[j]
+                for row in chain(pivots, map(rows.__getitem__, keys - {k})):
+                    row[k] = row.get(k, 0) + row.get(j, 0)
+                    if not row[k]:
+                        del row[k]
+                rows[k] = {m: a for m, a in new.items() if a}
             pending.remove(k)
-            pivot_row = rows[k]
-            head = pivot_row[k]
-            g = gcd(head, dens[k])
-            diagonal[k] = (head // g, dens[k] // g)
-            terms = []
-            for l, a in sorted(pivot_row.items()):
-                if l == k:
-                    continue
-                # e_l -> e_l - (a_kl / a_kk) e_k; row l becomes its Schur update
-                terms.append((l, -a))
-                c = rows[l][k]
-                new = {m: x * head for m, x in rows[l].items()}
-                for m, x in pivot_row.items():
-                    new[m] = new.get(m, 0) - c * x
-                settle(l, new, dens[l] * head)
-            if terms:
-                runs.append((k, tuple(terms), head))
-        return tuple(runs), tuple(diagonal)
+            pivot = at(k, t)
+            p = pivot.pop(k)
+            for l in pivot:
+                # row l, last brought past s pivots, becomes (p_{t+1} row_l - c row_k) / p_s
+                row = rows[l]
+                c = row.pop(k)
+                new = {m: p * a for m, a in row.items()}
+                for m, a in pivot.items():
+                    new[m] = new.get(m, 0) - c * a
+                d = minors[seen[l]]
+                rows[l] = {m: a // d for m, a in new.items() if a}
+                seen[l] = t + 1
+            minors.append(p)
+            order.append(k)
+            pivots.append(pivot)
+        return Factor(tuple(order), tuple(tuple(row.items()) for row in pivots), tuple(minors), tuple(shears), tuple(pending))
 
 
-def _add_runs(num: list, den: list, runs) -> None:
-    """x[k] += sum(c * x[l]) / m for each run ``(k, terms, m)``, one gcd per run.
+class Factor(NamedTuple):
+    """:attr:`SymmetricPairing.congruence`: a fraction-free symmetric factor of a pairing's integer form.
 
-    Every x[l] a run reads is final. The terms are summed over each
-    distinct denominator of their x[l] first, and those sums over their
-    lcm, so x[k] is reduced once; a run of one term skips the grouping.
+    ``order`` holds the pivot positions in elimination order; ``rows[t]``
+    the ``(column, int)`` pairs of pivot t's row of Bareiss entries over
+    the columns still pending when it was taken, its diagonal left out;
+    ``minors`` p_0 = 1, then p_t, the t-th leading minor of the sheared
+    form in pivot order (the diagonal of pivot t); ``shears`` the hyperbolic steps ``(k, j)``,
+    e_k -> e_k + e_j, in the order taken; ``zeros`` the positions of the
+    zero block, ascending.
     """
-    for k, terms, m in runs:
-        if len(terms) == 1:
-            ((l, c),) = terms
-            a = num[l]
-            if not a:
-                continue
-            total, e = c * a, den[l]
-        else:
-            sums = {}
-            for l, c in terms:
-                a = num[l]
-                if a:
-                    e = den[l]
-                    sums[e] = sums.get(e, 0) + c * a
-            if not sums:
-                continue
-            (e, total), *rest = sums.items()
-            for f, t in rest:
-                g = gcd(e, f)
-                total, e = total * (f // g) + t * (e // g), e // g * f
-        b, d = num[k], den[k]
-        top, bottom = b * m * e + total * d, d * m * e
-        g = gcd(top, bottom)
-        num[k], den[k] = top // g, bottom // g
+
+    order: tuple[int, ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    minors: tuple[int, ...]
+    shears: tuple[tuple[int, int], ...]
+    zeros: tuple[int, ...]
 
 
 def solve_linear(pairing: SymmetricPairing, rhs: Sequence) -> Vector:
-    """Solve A x = b exactly through the pairing's cached congruence.
+    """Solve A x = b exactly through the pairing's cached :class:`Factor`.
 
-    With P^T A P = D, x = P D^-1 P^T b, over nonzeros only and on integer
-    numerators and denominators (a denominator may be negative). The
-    forward pass applies P^T: it reads the runs in elimination order and
-    scatters x[k] of each run ``(k, terms, m)`` as x[l] += c * x[k] / m,
-    one gcd per update. D^-1 scales each entry; the backward pass applies
-    P through :func:`_add_runs` over the runs in reverse. Fractions are
-    built only for the returned tuple. Raises :class:`SingularMatrix` when
-    D has a zero entry, i.e. exactly when A is singular.
+    b enters as its integer numerators over one denominator. The shears
+    are applied to it in order, the elimination's forward pass runs on it
+    (each entry rescaled only when a pivot touches it) and leaves r_k at
+    pivot k, and back substitution y_k = (det r_k - sum u_kl y_l) / p_k
+    gives det times the solution of the integer system, with det the last
+    minor; every division is exact and no common divisor is taken out. The
+    shears are undone in reverse, and one ``Fraction`` is built per entry.
+    O(nnz) of the factor on a chain, O(n^2) dense.
+    Raises :class:`SingularMatrix`, with the first position of the zero
+    block as ``column``, exactly when A is singular.
     """
-    num, d = _integer_form(rhs)
-    pairing._check_length(num)
-    runs, diagonal = pairing.congruence
-    if (0, 1) in diagonal:
-        raise SingularMatrix("pairing matrix is singular", column=diagonal.index((0, 1)))
-    num, den = list(num), [d] * len(num)
-    for k, terms, m in runs:
-        a = num[k]
-        if a:
-            e = den[k] * m
-            for l, c in terms:
-                b, d = num[l], den[l]
-                top, bottom = b * e + c * a * d, d * e
-                g = gcd(top, bottom)
-                num[l], den[l] = top // g, bottom // g
-    for k, (p, q) in enumerate(diagonal):
-        a = num[k]
-        if a:
-            top, bottom = a * q, den[k] * p
-            g = gcd(top, bottom)
-            num[k], den[k] = top // g, bottom // g
-    _add_runs(num, den, reversed(runs))
-    return tuple(map(Fraction, num, den))
+    b, den = _integer_form(rhs)
+    pairing._check_length(b)
+    order, rows, minors, shears, zeros = pairing.congruence
+    if zeros:
+        raise SingularMatrix("pairing matrix is singular", column=zeros[0])
+    b = list(b)
+    for k, j in shears:
+        b[k] += b[j]
+    seen = [0] * len(b)
+    for t, (k, row) in enumerate(zip(order, rows)):
+        q = minors[t]
+        c = b[k]
+        if c and seen[k] != t:
+            c = b[k] = c * q // minors[seen[k]]
+        if c:
+            p = minors[t + 1]
+            for l, u in row:
+                a, s = b[l], seen[l]
+                if a and s != t:
+                    a = a * q // minors[s]
+                b[l] = (p * a - u * c) // q
+                seen[l] = t + 1
+    # b[k] now holds r_k; every position is a pivot and each row reads only
+    # later pivots, so b is overwritten in place with det times the solution
+    det = minors[-1]
+    for k, row, p in zip(reversed(order), reversed(rows), reversed(minors)):
+        r = b[k] * det
+        for l, u in row:
+            r -= u * b[l]
+        b[k] = r // p
+    for k, j in reversed(shears):
+        b[j] += b[k]
+    scale, den = pairing._scale, den * det
+    return tuple(Fraction(a * scale, den) for a in b)
 
 
 def signature(pairing: SymmetricPairing) -> tuple[int, int, int]:
-    """Inertia (positives, negatives, zeros): the signs of the cached D.
+    """Inertia (positives, negatives, zeros) of the form, read off its cached :class:`Factor`.
 
-    P^T A P = D is a congruence, so by Sylvester's law of inertia the sign
-    counts of D are invariants of the form; they are read off the integer
-    numerators of the factor's diagonal.
+    The factor is a congruence to diag(1 / (p_{t-1} p_t)) plus the zero
+    block, so by Sylvester's law of inertia (Jacobi's rule) each pivot
+    counts by the sign of p_t / p_{t-1} and each zero-block position as a
+    zero.
     """
-    _, diagonal = pairing.congruence
-    positives = sum(p > 0 for p, _ in diagonal)
-    negatives = sum(p < 0 for p, _ in diagonal)
-    return (positives, negatives, len(diagonal) - positives - negatives)
+    _, _, minors, _, zeros = pairing.congruence
+    positives = sum((p > 0) == (q > 0) for p, q in zip(minors, minors[1:]))
+    return (positives, len(minors) - 1 - positives, len(zeros))
 
 
 def is_negative_definite(pairing: SymmetricPairing) -> bool:

@@ -10,9 +10,10 @@ divisor is then the unique correction of the strict transform by
 exceptional classes that pairs to zero with every exceptional curve; this
 is well posed exactly because the exceptional Gram matrix is negative
 definite, which is validated when the resolution is constructed. The Gram
-is built once per resolution and factored once (its cached
-:attr:`~folcan.exact_core.SymmetricPairing.congruence`); the validation and
-every pullback share that factor.
+is built once per resolution and factored once, fraction-free (its cached
+:attr:`~folcan.exact_core.SymmetricPairing.congruence`): O(n) on a
+(-2)-chain and O(n^3) on a dense Gram. The validation reads the inertia off
+the factor's leading minors, and every pullback is one exact solve on it.
 
 Intersection numbers of downstairs divisors are the ambient pairings of
 their pullbacks. Positivity checks (big, nef, positive on curves) are
@@ -140,7 +141,11 @@ class ResolutionData:
 
 
 def validate_resolution(res: ResolutionData) -> None:
-    """Exceptional Gram must be negative definite; raises otherwise."""
+    """Exceptional Gram must be negative definite; raises :class:`NotNegativeDefinite` otherwise.
+
+    The inertia is read off the Gram's cached factor (the signs of its
+    leading minors), which every later pullback solves on.
+    """
     gram = res.exceptional_gram
     sig = signature(gram)
     if sig != (0, gram.dimension, 0):
@@ -155,7 +160,8 @@ def mumford_pullback(res: ResolutionData, strict: Sequence) -> Vector:
     """Correct a strict transform to pair to zero with every exceptional curve.
 
     Solves the square system on the exceptional Gram matrix, reusing the
-    factor computed when the resolution was validated, and returns
+    factor computed when the resolution was validated (one exact solve:
+    O(n) on a (-2)-chain, O(n^2) on a dense Gram), and returns
     strict + sum of x_i * E_i. When the strict transform is already
     orthogonal to the exceptional locus the correction is zero and the
     input comes back unchanged. The strict transform is checked once and

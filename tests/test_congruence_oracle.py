@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from folcan.errors import DimensionMismatch, InvalidInput, SingularMatrix
+from folcan.errors import DimensionMismatch, InvalidInput, NotNegativeDefinite, SingularMatrix
 from folcan.exact_core import SymmetricPairing, signature, solve_linear
 from folcan.surface_model import ResolutionData, SurfaceModel, mumford_pullback, weil_intersect
 
@@ -166,31 +166,44 @@ def test_dense_negative_grams_match_the_oracle():
         check_against_oracle(dense_negative(rng, n), rng)
 
 
-def test_the_runs_rebuild_the_congruence():
-    """P rebuilt from the runs alone carries A to the recorded diagonal, exactly."""
+def test_the_factor_rebuilds_the_congruence():
+    """The shears and pivot rows alone carry the integer form to Q^T N Q = U^T diag(1 / (p_{t-1} p_t)) U, exactly."""
     rng = random.Random(1019)
     lengths = (1, 2, 9, 33)
     forms = random_forms() + [chain(n) for n in lengths] + [dense_negative(rng, n) for n in (3, 8)]
-    hyperbolic = 0  # runs of the hyperbolic step's shape (j, ((i, 1),), 1)
+    sheared = 0
     for rows in forms:
-        runs, diagonal = SymmetricPairing.from_rows(rows).congruence
+        pairing = SymmetricPairing.from_rows(rows)
+        order, pivot_rows, minors, shears, zeros = pairing.congruence
         n = len(rows)
-        p = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-        for k, terms, m in runs:
-            assert m != 0 and terms and all(c != 0 and l != k for l, c in terms)
-            hyperbolic += m == 1 and len(terms) == 1 and terms[0][1] == 1
-            for l, c in terms:
-                for row in p:
-                    row[l] += F(c, m) * row[k]
-        columns = list(zip(*p))
-        images = [matvec(rows, v) for v in columns]
-        d = [[sum((a * b for a, b in zip(u, image)), F(0)) for image in images] for u in columns]
-        assert all(q > 0 and math.gcd(num, q) == 1 for num, q in diagonal)
-        assert d == [[F(*diagonal[i]) if i == j else 0 for j in range(n)] for i in range(n)]
-    assert hyperbolic > 0
+        assert sorted(order + zeros) == list(range(n)) and list(zeros) == sorted(zeros)
+        assert len(minors) == len(order) + 1 and minors[0] == 1 and 0 not in minors
+        sheared += bool(shears)
+        # N = A * scale, then each shear e_k -> e_k + e_j on columns and rows, in order
+        m = [[F(a) * pairing._scale for a in row] for row in rows]
+        for k, j in shears:
+            for row in m:
+                row[k] += row[j]
+            m[k] = [a + b for a, b in zip(m[k], m[j])]
+        u = []
+        for t, (k, row) in enumerate(zip(order, pivot_rows)):
+            line = [0] * n
+            line[k] = minors[t + 1]
+            for l, a in row:
+                # only columns still pending at pivot t, each at most once, none zero
+                assert a != 0 and l not in order[: t + 1] and line[l] == 0
+                line[l] = a
+            u.append(line)
+        dens = [minors[t] * minors[t + 1] for t in range(len(u))]
+        rebuilt = [
+            [sum((F(line[i] * line[j], d) for line, d in zip(u, dens)), F(0)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert rebuilt == m
+    assert sheared > 0
     for n in lengths:
-        runs, _ = SymmetricPairing.from_rows(chain(n)).congruence
-        assert len(runs) == n - 1 and all(len(terms) == 1 for _, terms, _ in runs)
+        _, pivot_rows, _, _, _ = SymmetricPairing.from_rows(chain(n)).congruence
+        assert sum(map(len, pivot_rows)) == n - 1
 
 
 def a_chain_model(length, meets):
@@ -372,3 +385,129 @@ def test_zero_diagonal_forms_with_denominators_match_the_oracle():
                 rows[i][i] = F(0)
         verdicts.add(check_against_oracle(rows, rng) == 0)
     assert verdicts == {True, False}
+
+
+def test_a_singular_solve_names_the_first_position_of_the_zero_block():
+    """``SingularMatrix``'s ``column`` is the least position the elimination leaves unpivoted.
+
+    Identically zero rows are never pivots, so on a nonsingular form with
+    zero rows put in (some before every nonzero row) it is the first zero
+    row; the written-out cases fix it where the zero block is not a zero row.
+    """
+    cases = [
+        ([[0]], 0),
+        ([[1, 1], [1, 1]], 1),
+        ([[0, 0], [0, 1]], 0),
+        ([[0, 0, 0], [0, -2, 1], [0, 1, 0]], 0),
+        ([[1, 1, 0], [1, 1, 0], [0, 0, -1]], 1),
+        ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], 2),
+        ([[0, 0, 0], [0, 0, 1], [0, 1, 0]], 0),
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 2]], 1),
+    ]
+    rng = random.Random(2027)
+    before = 0
+    for rows in random_forms()[:60]:
+        if not rows or oracle_inertia(rows)[1] == 0:
+            continue
+        n = len(rows) + rng.randint(1, 3)
+        zero = sorted(rng.sample(range(n), n - len(rows)))
+        before += zero[0] == 0
+        padded = [[F(0)] * n for _ in range(n)]
+        live = [i for i in range(n) if i not in zero]
+        for i, row in zip(live, rows):
+            for j, a in zip(live, row):
+                padded[i][j] = F(a)
+        cases.append((padded, zero[0]))
+    assert before > 3
+    for rows, column in cases:
+        assert oracle_inertia(rows)[1] == 0
+        with pytest.raises(SingularMatrix) as info:
+            solve_linear(SymmetricPairing.from_rows(rows), [1] * len(rows))
+        assert info.value.context["column"] == column
+
+
+# Seeded faults: each one is put into a correct factor (or into ``restrict``)
+# by monkeypatching, and each check named with it, which passes on the true
+# factor as a test of its own, must then fail.
+
+
+def first_minor_flipped(factor):
+    minors = factor.minors
+    return factor._replace(minors=minors[:1] + (-minors[1],) + minors[2:]) if len(minors) > 1 else factor
+
+
+def first_shear_dropped(factor):
+    return factor._replace(shears=factor.shears[1:])
+
+
+def first_entry_dropped(factor):
+    rows = list(factor.rows)
+    t = next((t for t, row in enumerate(rows) if row), None)
+    if t is not None:
+        rows[t] = rows[t][1:]
+    return factor._replace(rows=tuple(rows))
+
+
+def first_pivots_swapped(factor):
+    order = factor.order
+    return factor._replace(order=order[1::-1] + order[2:]) if len(order) > 1 else factor
+
+
+def oracle_check():
+    rng = random.Random(7)
+    for rows in random_forms():
+        check_against_oracle(rows, rng)
+
+
+def integer_form_checks():
+    import test_integer_form
+
+    test_integer_form.test_products_and_solves_equal_the_fraction_oracle()
+    test_integer_form.test_pullbacks_and_intersections_equal_the_fraction_oracle()
+
+
+CHECKS = {
+    "oracle": oracle_check,
+    "integer form": integer_form_checks,
+    "A_n closed form": test_weil_intersect_on_a_long_chain_is_the_a_n_closed_form,
+}
+
+
+@pytest.mark.parametrize(
+    "fault, check",
+    [
+        (first_minor_flipped, "oracle"),
+        (first_minor_flipped, "integer form"),
+        (first_minor_flipped, "A_n closed form"),
+        (first_shear_dropped, "oracle"),
+        (first_shear_dropped, "integer form"),
+        (first_entry_dropped, "oracle"),
+        (first_entry_dropped, "integer form"),
+        (first_entry_dropped, "A_n closed form"),
+        (first_pivots_swapped, "oracle"),
+        (first_pivots_swapped, "integer form"),
+        (first_pivots_swapped, "A_n closed form"),
+    ],
+)
+def test_a_seeded_fault_in_the_factor_is_caught(monkeypatch, fault, check):
+    factor = SymmetricPairing.congruence.func
+    faulty = functools.cached_property(lambda self: fault(factor(self)))
+    faulty.__set_name__(SymmetricPairing, "congruence")
+    monkeypatch.setattr(SymmetricPairing, "congruence", faulty)
+    # a wrong inertia stops a resolution at its validation, a wrong solve at an assertion
+    with pytest.raises((AssertionError, NotNegativeDefinite)):
+        CHECKS[check]()
+
+
+@pytest.mark.parametrize("check", ["integer form", "A_n closed form"])
+def test_a_factor_left_cached_across_restrict_is_caught(monkeypatch, check):
+    restrict = SymmetricPairing.restrict
+
+    def stale(self, indices):
+        sub = restrict(self, indices)
+        sub.__dict__["congruence"] = self.congruence
+        return sub
+
+    monkeypatch.setattr(SymmetricPairing, "restrict", stale)
+    with pytest.raises((AssertionError, NotNegativeDefinite)):
+        CHECKS[check]()
