@@ -1,4 +1,7 @@
-"""Exact-arithmetic numerical invariants of foliated surfaces."""
+"""Exact-arithmetic numerical invariants of foliated surfaces.
+
+Every value is exact (no float), nothing is random, and equal inputs give byte-identical documents.
+"""
 
 from .baskets import (
     Basket,

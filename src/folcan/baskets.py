@@ -1,33 +1,7 @@
-"""Local correction profiles at surface singular points and their baskets.
+"""Singular points as local correction profiles, and baskets of them.
 
-A singular point enters the Euler characteristic formula only through the
-sequence m -> a(x, m*K) of local correction terms, so a point is recorded
-here as a :class:`LocalProfile`: one of four numerical kinds together with a
-local Cartier index. A :class:`Basket` is a finite multiset of profiles with
-a canonical ordering, which is what enumeration and deduplication key on.
-
-The four kinds:
-
-``TerminalCyclic``
-    cyclic quotient point of index n >= 2; term 0 when n | m and
-    -(n-1)/(2n) when m is congruent to +-1 mod n. At the remaining
-    residues the exact value depends on local data this package does not
-    model, so the default table extrapolates -r(n-r)/(2n) (the formula that
-    gives the backed values at r = 0, +-1) to every residue r, and every
-    evaluation that lands off those residues is reported as extrapolated (see
-    :func:`uses_extrapolation`). Callers who know the true table can attach
-    an ``override`` of length n.
-
-``DihedralZero``
-    term identically 0; carries a configurable index in {1, 2} (default 2)
-    because the vanishing alone does not pin the Cartier index.
-
-``DihedralHalf``
-    term -1/2 at odd m, 0 at even m; index 2.
-
-``NonQGorCusp``
-    term -1 for every m > 0; no finite local index, so it is excluded from
-    :func:`q_index`.
+A point enters Riemann-Roch only through its local terms m -> a(x, m K), so
+it is a :class:`LocalProfile`; a :class:`Basket` is a multiset of them.
 """
 
 from __future__ import annotations
@@ -53,6 +27,16 @@ class SingularityKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class LocalProfile:
+    """One singular point: its kind and local Cartier index; frozen.
+
+    ``TerminalCyclic``: index n >= 2, term 0 where n | m and -(n-1)/(2n)
+    where m = +-1 mod n, elsewhere the extrapolation -r(n-r)/(2n) at residue
+    r, or an ``override`` of n terms (0 at r = 0, none positive).
+    ``DihedralZero``: term 0, index 1 or 2. ``DihedralHalf``: -1/2 at odd m,
+    0 at even m, index 2. ``NonQGorCusp``: -1 at every m >= 1, index None.
+    A wrong index raises :class:`InvalidInput`, a bad override :class:`InvalidOverride`.
+    """
+
     kind: SingularityKind
     local_index: Optional[int]
     override: Optional[tuple[Fraction, ...]] = None
@@ -97,13 +81,9 @@ class LocalProfile:
 
     @functools.cached_property
     def term_numerators(self) -> tuple[int, tuple[int, ...]]:
-        """``(d, t)`` with local_term(self, m) = t[m % len(t)] / d for every m >= 1.
+        """``(d, t)`` with local_term(self, m) = t[m % len(t)] / d for every m >= 1; computed once and kept.
 
-        ``t`` covers one period (the local index; 1 for a cusp) and ``d`` is
-        the least common denominator of the terms. Computed on first use and
-        kept on the profile, so every basket sharing the profile reuses it.
-        The built-in tables are made in integers and put in lowest terms by one
-        gcd; an override table is read through :func:`local_term`.
+        ``t`` covers one period (the local index, 1 for a cusp); d is the least common denominator.
         """
         period, kind = self.local_index or 1, self.kind
         if self.override is not None:
@@ -143,7 +123,7 @@ def cusp() -> LocalProfile:
 
 
 def local_term(profile: LocalProfile, m: int) -> Fraction:
-    """Correction term of one point at the m-th multiple; 0 at m = 0."""
+    """The point's term at the m-th multiple, 0 at m = 0; an m that is no int >= 0 raises :class:`InvalidInput`."""
     m = check_int(m, "multiple")
     if m == 0:
         return Fraction(0)
@@ -163,11 +143,9 @@ def local_term(profile: LocalProfile, m: int) -> Fraction:
 
 
 def uses_extrapolation(profile: LocalProfile, m: int) -> bool:
-    """Whether evaluating at m touches a residue with no backed value.
+    """Whether the term at m rests on no backed value: a terminal cyclic point at a residue outside {0, 1, n - 1}.
 
-    True only for terminal cyclic profiles at residues outside {0, 1, n-1};
-    the value there is either the default extrapolation or a caller-supplied
-    override, and in both cases downstream reports carry the flag.
+    True with an override too; reports built from such a term carry the flag.
     """
     m = check_int(m, "multiple")
     if m == 0 or profile.kind is not SingularityKind.TERMINAL_CYCLIC:
@@ -178,11 +156,12 @@ def uses_extrapolation(profile: LocalProfile, m: int) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Basket:
-    """Finite multiset of local profiles, stored in canonical order.
+    """A finite multiset of local profiles, kept as a tuple in canonical order.
 
-    Slotted: ``profiles`` is the one slot and an instance has no ``__dict__``.
-    A non-iterable, or any entry that is not a :class:`LocalProfile`, raises
-    :class:`InvalidInput` naming it.
+    A non-iterable, or an entry that is not a :class:`LocalProfile`, raises
+    :class:`InvalidInput`. Frozen and slotted: assigning or deleting
+    ``profiles`` raises :class:`dataclasses.FrozenInstanceError`, and
+    assigning another name raises too (:class:`TypeError` on CPython 3.11).
     """
 
     profiles: tuple[LocalProfile, ...] = ()
@@ -220,10 +199,7 @@ def basket_uses_extrapolation(basket: Basket, m: int) -> bool:
 
 
 def q_index(basket: Basket) -> int:
-    """Least m >= 1 making the m-th multiple Cartier at every finite-index point.
-
-    Cusps carry no finite index and are excluded; the empty product is 1.
-    """
+    """The least m >= 1 making the m-th multiple Cartier at every finite-index point; 1 for no such point."""
     return math.lcm(*[p.local_index or 1 for p in basket.profiles])
 
 
@@ -235,15 +211,10 @@ class SizeBoundVerdict:
 
 
 def basket_size_bound(basket: Basket) -> SizeBoundVerdict:
-    """Diagnostics relating the first correction term to the basket size.
+    """``sum_neg_a``: minus the basket's term at m = 1; ``size``: its profiles but index-1 dihedral-zero points.
 
-    ``sum_neg_a`` is the negated full-basket term at m = 1 and ``size``
-    counts every profile except index-1 dihedral-zero points (which are
-    smooth-like for all purposes here). ``bound_holds`` checks
-    sum >= size/2 restricted to the terminal-cyclic and dihedral-half
-    profiles; an index-2 terminal point contributes only 1/4, so the
-    restricted inequality can genuinely fail and the caller gets both
-    numbers to judge with.
+    ``bound_holds``: over the terminal cyclic and dihedral-half profiles,
+    minus their m = 1 terms sum to at least half their count. It can fail.
     """
     sum_neg_a = -basket_term(basket, 1)
     size = sum(

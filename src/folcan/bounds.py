@@ -1,22 +1,6 @@
-"""Bound chain for the ambient canonical square and Hilbert function search.
+"""The window for K_X^2 and the family of Hilbert functions at fixed k1 = K_F^2, k2 = K_F.K_X and index s.
 
-Fixing the two leading intersection numbers k1 > 0 and k2 plus the global
-index s pins the ambient square kx2 into a finite window:
-
-* upper bound k2^2 / k1 from the index-theorem inequality, and
-* strict lower bound -(16 s^2 k1 + 8 s k2), expressing positivity of the
-  square of the auxiliary combination (4s * K_leading + K_ambient).
-
-On top of that window, :func:`enumerate_hilbert` returns the finite,
-deduplicated family of Hilbert functions of the baskets compatible with s up
-to a size cap, each with the baskets that realize it. The search relies on
-two integer shifts of P(m), both made in ``riemann_roch``:
-
-* a cusp adds -1 at every m >= 1 and leaves the index alone, so a basket's
-  index and integrality are those of its finite-index part, and its table is
-  the part's shifted by -1 per cusp (``ModelNumerics._with_cusps``);
-* chi adds chi at every m, so the function at chi is the function at chi = 0
-  plus chi, with the same witnesses (``HilbertFunction._with_chi``).
+Both are finite; :func:`enumerate_hilbert` searches baskets up to a size cap.
 """
 
 from __future__ import annotations
@@ -52,14 +36,9 @@ from .riemann_roch import (
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Window for the ambient canonical square at fixed (k1, k2, s).
+    """kx2_lower_exclusive < K_X^2 <= kx2_upper; ``interval_empty`` if no value fits.
 
-    ``kx2_lower_exclusive`` carries the quadratic-in-s coefficient 16s^2
-    from expanding the auxiliary square. ``kx2_lower_exclusive_variant`` is
-    the same bound with the coefficient linear in s (16s); the two readings
-    circulate and they agree at s = 1, so the variant is populated only
-    when it differs. ``interval_empty`` marks the degenerate configuration
-    k2 = -4*s*k1 where the strict window closes completely.
+    ``kx2_lower_exclusive_variant``: the lower bound with 16 s for 16 s^2, set only where it differs.
     """
 
     kx2_upper: Fraction
@@ -69,6 +48,10 @@ class BoundReport:
 
 
 def kx2_bounds(k1, k2, s: int) -> BoundReport:
+    """Upper bound k2^2 / k1 (index theorem), lower -(16 s^2 k1 + 8 s k2), where (4s K_F + K_X)^2 > 0.
+
+    k1 <= 0 raises :class:`NonPositiveVolume`; an s that is not a positive int raises :class:`InvalidInput`.
+    """
     k1, k2 = as_rational(k1), as_rational(k2)
     s = check_int(s, "s", 1)
     if k1 <= 0:
@@ -101,7 +84,7 @@ def km_envelope(d_squared, m: int, q0, q1, h0) -> bool:
 
 
 def basket_alphabet(s: int) -> tuple:
-    """Profiles whose local index divides s, in canonical order."""
+    """The profiles whose local index divides s, in canonical order; O(sqrt s)."""
     s = check_int(s, "s", 1)
     letters = [dihedral_zero(1)]
     if s % 2 == 0:
@@ -115,16 +98,12 @@ def basket_alphabet(s: int) -> tuple:
 
 
 def enumerate_baskets(s: int, cap: int, max_cusps: int) -> Iterator[Basket]:
-    """Every basket with <= cap finite-index profiles compatible with s.
+    """Every basket of at most ``cap`` profiles of :func:`basket_alphabet`, plus 0 to ``max_cusps`` cusps.
 
-    Deterministic order, no duplicates; cusps appended separately up to
-    max_cusps since they do not constrain the index. The scan comes in
-    consecutive groups of max_cusps + 1 baskets, one group per finite-index
-    part (a combination of the alphabet), carrying 0, 1, ..., max_cusps
-    cusps in that order. Each basket is made in canonical order and its one
-    slot is set directly, with no sort: a combination of the alphabet is in
-    canonical order already, and the cusps go in at their sorted position.
-    With cap 0 the O(sqrt s) alphabet is not built.
+    Deterministic order, no duplicates, each basket in canonical order.
+    Each finite-index part comes as one group of max_cusps + 1 baskets in a
+    row, with 0, 1, ..., max_cusps cusps in that order. A bad s, cap or
+    max_cusps raises :class:`InvalidInput`; with cap 0 the alphabet is not built.
     """
     s = check_int(s, "s", 1)
     check_int(cap, "cap")
@@ -154,6 +133,11 @@ def enumerate_baskets(s: int, cap: int, max_cusps: int) -> Iterator[Basket]:
 
 @dataclass(frozen=True)
 class EnumerationQuery:
+    """One enumeration: k1 and k2 as rationals, s >= 1, the chi values, the basket cap and cusp count; frozen.
+
+    A field of the wrong type or sign raises :class:`InvalidInput`.
+    """
+
     k1: Fraction
     k2: Fraction
     s: int
@@ -186,30 +170,20 @@ class EnumeratedFunction:
     witnesses: tuple[Basket, ...]
 
 
-# the most baskets one enumerate_hilbert query may span (s = 60, cap = 8,
-# max_cusps = 2 spans 959,310 and takes 0.9-1.7 s through cli.run, in-process,
-# on a 2-core VM); larger queries are refused before any basket is generated
+# s = 60, cap 8, max_cusps 2 spans 959,310 baskets: 0.9-1.7 s through cli.run on a 2-core VM
 MAX_BASKETS = 1_000_000
 
-# the most chi values one enumerate_hilbert query may ask for: every result
-# is copied once per chi (``enumerate --k1 1 --k2 0 --s 12 --cap 6
-# --max-cusps 2`` over 100 chi values prints 13.0 MB of JSON in 0.28-0.34 s
-# and peaks at 84 MB RSS, run in-process through cli.run into a StringIO on
-# a 2-core VM); larger chi sets are refused before any basket is generated
+# every result is copied once per chi: --s 12 --cap 6 --max-cusps 2 over 100
+# chi values prints 13.0 MB of JSON in 0.28-0.34 s, 84 MB peak RSS (2-core VM)
 MAX_CHI = 100
 
 
 def _part_decisions(query: EnumerationQuery, letters: tuple) -> Iterator[bool]:
-    """One boolean per finite-index part of the query's scan, in scan order: whether it is in.
+    """One bool per finite-index part of the scan over ``letters``, in scan order: whether it can be accepted.
 
-    ``letters`` is the scan's alphabet. A part is in when the lcm of its
-    letters' indices matches s (divides it, under ``q_index_divides``) and
-    P(1) is an integer. A part of size k is a part of size k - 1 plus one
-    letter at or after its last one, in the order of
-    ``combinations_with_replacement``, so the parts are walked level by
-    level: level k < cap is built from level k - 1 in one comprehension of
-    (lcm, weight mod den, letters still allowed) triples, and the parts of
-    size cap are decided from level cap - 1 without building theirs.
+    True when the lcm of the part's indices matches s (divides it, under
+    ``q_index_divides``) and P(1) is an integer. The parts are walked
+    level by level, by size, and level cap is never built.
     """
     # P(1) is an integer exactly when the part's m = 1 weights sum to target mod den
     den, weights, target = _unit_weights(query.k1, query.k2, letters)
@@ -239,26 +213,18 @@ def _part_decisions(query: EnumerationQuery, letters: tuple) -> Iterator[bool]:
 
 
 def enumerate_hilbert(query: EnumerationQuery) -> tuple[EnumeratedFunction, ...]:
-    """Deduplicated Hilbert functions for the query, canonical order.
+    """The distinct integral Hilbert functions of the query's baskets of index s, each with its witnesses.
 
-    With cap >= 1, an index s above ``riemann_roch.MAX_PERIOD`` raises
-    :class:`InvalidInput` with the period s and the limit in its context
-    (``terminal_cyclic(s)`` is a letter). The query spans
-    C(|alphabet| + cap, cap) * (max_cusps + 1) baskets; above
-    :data:`MAX_BASKETS` it raises :class:`InvalidInput` with that count and
-    the limit in its context, and a ``chi_set`` of more than :data:`MAX_CHI`
-    values raises it with its size and the limit. All are refused before
-    scanning. With cap 0 the alphabet is not built, so the cost does not
-    grow with s.
-
-    The result lists, for each chi in increasing order, every function at
-    its minimal period in :func:`riemann_roch.canonical_order`, each with its
-    witnesses in canonical order; a function is extrapolated if any of its
-    witnesses is. The scan decides each finite-index part once
-    (:func:`_part_decisions`). A part that passes gets one table and one
-    integrality check at chi = 0, and its cusp variants take both from it by
-    the cusp shift. The merge keys on the functions' own equality, and every
-    further chi is a copy that differs only in chi.
+    A basket of :func:`enumerate_baskets` counts when its index equals s
+    (divides s, under ``q_index_divides``) and its table is integral. For
+    each chi in increasing order: every function at its minimal period, in
+    :func:`riemann_roch.canonical_order`, its witnesses in canonical order;
+    a function is extrapolated if any witness is. Deterministic.
+    k1 <= 0 raises :class:`NonPositiveVolume`. :class:`InvalidInput`, with
+    the size and ``limit`` in its context, refuses before any basket is
+    made: with cap >= 1, s above ``riemann_roch.MAX_PERIOD``; more than
+    :data:`MAX_BASKETS` baskets, C(|alphabet| + cap, cap) (max_cusps + 1);
+    more than :data:`MAX_CHI` chi values. One pass over the baskets; with cap 0 the cost does not grow with s.
     """
     if query.k1 <= 0:
         raise NonPositiveVolume(f"leading self-intersection must be positive, got {query.k1}")

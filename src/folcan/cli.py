@@ -1,44 +1,7 @@
-"""Command line front end: exact documents in, exact documents out.
+"""The ``folcan`` command line: exact documents in, exact documents out.
 
-Five subcommands:
-
-* ``intersect``   pairings of (possibly Weil) divisors through a model file
-* ``hilbert``     Euler characteristic table for a numerics file
-* ``enumerate``   the finite family of Hilbert functions for (k1, k2, s)
-* ``bounds``      the admissible window for the ambient canonical square
-* ``example``     the two built-in double-cover families, with sweeps over
-                  g or q (ruled; its k must be even) or d or n (abelian)
-
-Exit status 0 on success; 1 for I/O and document-shape problems (a
-non-canonical rational in a document among them); 2 for mathematically
-invalid input, for oversized requests (``hilbert --mmax`` above
-:data:`MAX_MMAX`, an ``example --sweep`` of more than :data:`MAX_SWEEP`
-values, an enumeration above ``bounds.MAX_BASKETS`` baskets or with a
-``--chi`` of more than ``bounds.MAX_CHI`` values, a basket
-period above ``riemann_roch.MAX_PERIOD`` in either ``hilbert`` format,
-``enumerate --s`` above it with ``--cap`` at least 1) and for command-line
-syntax errors. Among those: a rational flag not in the canonical ``p/q``
-form, and an integer flag, a ``--chi`` entry (``--chi 0,`` has an empty
-one) or a ``--sweep`` endpoint not written as ``str`` writes the integer
-(ASCII digits, an optional ``-``; no ``+``, padding, leading 0 or ``_``).
-Errors go to stderr as a JSON object
-``{"error": {"code", "message", "context"}}``, from the one error exit of
-:func:`run`; ``--out`` is written only once the handler has returned, so a
-failed run creates no file. argparse's usage and error
-text go to stderr too, and ``--help`` to stdout, both the streams given to
-:func:`run`. Output is byte-identical across repeated runs with the same
-inputs. ``enumerate --workers N`` is accepted (N must be a positive
-integer) and ignored; the library takes no worker count. ``--no-cusps``
-means ``--max-cusps 0``. There is no ``--seed``: nothing here is random.
-
-The handlers put values, not texts, into their reports: Fractions, vectors,
-booleans and integers. The flat reports (``intersect``, ``bounds`` and a
-single ``example``) share one renderer: a JSON object with sorted keys, in
-which ``dumps`` writes each Fraction as its canonical string, or
-``quantity,value`` CSV rows. ``hilbert``, ``enumerate`` and example sweeps
-are tables with their own columns. Every CSV cell follows one rule
-(:func:`_cell`): a rational in its canonical form, a vector as its
-space-separated cells, a boolean as ``true``/``false``.
+Five subcommands: ``intersect``, ``hilbert``, ``enumerate``, ``bounds`` and
+``example``. :func:`run` states the exit statuses, README each command.
 """
 
 from __future__ import annotations
@@ -343,6 +306,17 @@ def _error_payload(code: str, message: str, context: dict) -> str:
 
 
 def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
+    """Run ``folcan`` on ``argv``, writing to ``stdout`` and ``stderr`` (default: the process's); return the exit status.
+
+    0 on success; 1 for an unreadable or malformed document; 2 for invalid
+    mathematics, a request above a size limit (:data:`MAX_MMAX`,
+    :data:`MAX_SWEEP`, ``bounds.MAX_BASKETS``, ``bounds.MAX_CHI``,
+    ``riemann_roch.MAX_PERIOD``) or a usage error, a non-canonical rational
+    or integer flag among them. An error is one JSON object ``{"error":
+    {"code", "message", "context"}}`` on ``stderr``; argparse writes usage
+    and errors to ``stderr``, ``--help`` to ``stdout``. A failed run writes
+    nothing to ``stdout`` or ``--out``. Equal inputs give byte-identical output.
+    """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
@@ -352,7 +326,6 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
             args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    del parser  # its tree is cyclic garbage; not kept alive through the handler
     try:
         text = _HANDLERS[args.command](args)
         if args.out is not None:  # written only once the handler has returned

@@ -1,26 +1,7 @@
-"""Two double-cover families with computable invariants, plus fibration identities.
+"""Two double-cover families and the fibration identities.
 
-Both constructions live downstairs on a small explicit lattice and push
-every number through the double-cover rule (pullback doubles products)
-rather than quoting closed forms, so the closed forms can be tested
-against them as independent oracles.
-
-Ruled family: the base is a projective bundle over a curve of genus q with
-section C0 of square -k and fiber f. A double cover branched along a
-divisor in |(2g+2)C0 + (2g+1)k f| has fibers of genus g; the foliation by
-pulled-back fibers has canonical square 2kg(g-1), independent of q, while
-the product against the surface canonical class grows linearly in q. This
-family shows which invariants stay bounded when the base genus runs away.
-
-Abelian family: on a product of an elliptic curve with itself, take the
-graph of the n-multiplication map and a polarization A of bidegree
-(2d, 2d). The double cover branched along a member of |A| is fibered by
-the preimages of graph translates; fiber genus grows with n but the
-canonical square of the fibration stays 4d^2.
-
-``fibration_identities`` relates the ambient square, the relative square
-and the mixed product for a genus-gF fibration over a genus-gC base, with
-an exact round-trip of the ambient square as a built-in consistency check.
+Each family pushes every number through the double-cover rule on an
+explicit lattice, so closed forms can be tested against it.
 """
 
 from __future__ import annotations
@@ -38,6 +19,8 @@ from .surface_model import SurfaceModel
 
 @dataclass(frozen=True)
 class RuledCoverInput:
+    """k even and >= 2, g >= 2, q >= 0, all ints (else :class:`InvalidInput`)."""
+
     k: int  # degree of the twisting divisor on the base; must be even
     g: int  # genus of the covering fibers
     q: int  # genus of the base curve
@@ -52,6 +35,8 @@ class RuledCoverInput:
 
 @dataclass(frozen=True)
 class AbelianCoverInput:
+    """d >= 2 and n >= 0, both ints (else :class:`InvalidInput`)."""
+
     d: int  # bidegree of the polarization
     n: int  # multiplication-map parameter for the graph curve
 
@@ -62,6 +47,8 @@ class AbelianCoverInput:
 
 @dataclass(frozen=True)
 class ConstructionReport:
+    """A construction's invariants and its derivation's auxiliary numbers; kf2 <= 0 raises :class:`InvalidInput`."""
+
     kf2: Fraction
     kf_dot_kx: Fraction
     fiber_genus: int
@@ -78,7 +65,10 @@ class ConstructionReport:
 
 
 def riemann_hurwitz(g_base: int, degree: int, ram_degree: int) -> int:
-    """Genus of a degree-d cover of a genus-g_base curve with given ramification."""
+    """The genus of a degree-d cover of a genus-g_base curve with the given ramification degree.
+
+    An odd 2g - 2 raises :class:`NonIntegralGenus`, a negative genus :class:`NegativeGenus`.
+    """
     check_int(g_base, "g_base", 0)
     check_int(degree, "degree", 1)
     check_int(ram_degree, "ram_degree", 0)
@@ -102,6 +92,11 @@ def _double_pair(model: SurfaceModel, u, v) -> Fraction:
 
 
 def ruled_double_cover(data: RuledCoverInput) -> ConstructionReport:
+    """The double cover of a ruled surface over a genus-q curve, C0^2 = -k, branched in |(2g+2) C0 + (2g+1) k f|.
+
+    Its fibers have genus g and the foliation by them has K_F^2 = 2 k g (g - 1),
+    whatever q is, while K_F.K_X grows linearly in q.
+    """
     k, g, q = data.k, data.g, data.q
     base = SurfaceModel(
         ("C0", "f"),
@@ -142,6 +137,10 @@ def ruled_double_cover(data: RuledCoverInput) -> ConstructionReport:
 
 
 def abelian_double_cover(data: AbelianCoverInput) -> ConstructionReport:
+    """The double cover of E x E branched in a polarization of bidegree (2d, 2d), fibered by graph translates of [n].
+
+    The fiber genus grows with n, while K_F^2 = K_F.K_X = 4 d^2.
+    """
     d, n = data.d, data.n
     # lattice of the two fiber classes and the graph of n-multiplication
     product = SurfaceModel(
@@ -180,12 +179,7 @@ class FibrationNumbers(NamedTuple):
 
 
 def fibration_identities(kx2, fiber_genus: int, base_genus: int) -> FibrationNumbers:
-    """Relative square and mixed product of a fibration, with exact round-trip.
-
-    kxc2 = kx2 - 8(gF-1)(gC-1) and kf_dot_kx = kx2 - 4(gF-1)(gC-1);
-    eliminating the genus factor gives back kx2 = 2*kf_dot_kx - kxc2,
-    asserted exactly.
-    """
+    """kxc2 = kx2 - 8 (gF - 1)(gC - 1) and kf_dot_kx = kx2 - 4 (gF - 1)(gC - 1), and kx2 = 2 kf_dot_kx - kxc2 back."""
     kx2 = as_rational(kx2)
     check_int(fiber_genus, "fiber_genus", 2)
     check_int(base_genus, "base_genus", 0)
@@ -200,11 +194,7 @@ def fibration_identities(kx2, fiber_genus: int, base_genus: int) -> FibrationNum
 def to_model_numerics(
     report: ConstructionReport, chi: int, kx2: Optional[Fraction] = None
 ) -> ModelNumerics:
-    """Carry a construction's invariants into table evaluation.
-
-    The structure-sheaf characteristic of the covering surface is not
-    derived here; the caller supplies it as a free parameter.
-    """
+    """The construction's K_F^2 and K_F.K_X as general-type numerics with an empty basket, at the caller's chi."""
     return ModelNumerics(
         k1=report.kf2,
         k2=report.kf_dot_kx,

@@ -1,9 +1,4 @@
-"""Exception types shared across the package.
-
-Every domain error carries a stable machine-readable ``code`` plus optional
-keyword context, so the command line layer can emit structured error objects
-instead of prose.
-"""
+"""The package's exceptions: each has a stable ``code`` and keyword ``context`` for structured CLI errors."""
 
 from __future__ import annotations
 

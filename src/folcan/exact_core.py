@@ -1,46 +1,7 @@
-"""Exact rational scalars, vectors and symmetric bilinear forms.
+"""Exact rationals, vectors and symmetric bilinear forms, shared by every layer.
 
-Everything in this package is exact: a rational is a
-:class:`fractions.Fraction` or ints over an explicit denominator, and there
-is no floating point anywhere, so every intersection number, correction
-term and enumeration filter is computed without rounding. This module
-provides the substrate shared by the geometric layers: coordinate vectors
-of divisor classes, symmetric pairings (intersection forms), exact linear
-solving, the inertia of a form, and the index-theorem inequality check
-
-    D1^2 * D2^2 <= (D1 . D2)^2
-
-valid whenever some combination a1*D1 + a2*D2 has positive square.
-
-A pairing's state is its integer form: int rows of numerators over one
-positive common denominator, the lcm of the entries' denominators (an int
-matrix is its own integer form, over 1). The form is canonical, so
-equality, hashing, the symmetry check, row scans, products, restrictions
-and the factor all read it; ``entries``, the Fraction view that
-serialization and callers read, is built on its first read. A vector
-enters a product or a solve as its numerators over one denominator, so a
-product or a pairing builds Fractions only for what it returns.
-
-A pairing is factored at most once: its first :func:`signature` or
-:func:`solve_linear` call computes its fraction-free symmetric factor
-(:attr:`SymmetricPairing.congruence`, a :class:`Factor`) and keeps it on the
-instance, so the inertia and every later solve read the same factor. The
-factor is integer-preserving elimination (Bareiss) of the integer form: it
-stores the pivot order, each pivot's row of Bareiss entries, the leading
-minors p_t in pivot order, the hyperbolic shears taken at zero pivots and
-the positions of the zero block. Every stored entry is a minor, so every
-division of the elimination and of a solve is exact and no common divisor
-is taken out; Fractions are built only for what a solve returns. Factoring
-costs O(n) on a (-2)-chain (after the O(n^2) row scan) and O(n^3) on a
-dense form; a solve costs O(nnz) of the factor, and refuses a singular form
-with :class:`~folcan.errors.SingularMatrix`.
-
-Rationals cross every file boundary as the canonical string ``p/q`` (bare
-``p`` when the denominator is 1); :func:`parse_rational` is strict about the
-canonical form so that serialization round-trips bit-exactly.
-
-:func:`check_int` is the package's one integer validator and
-:func:`check_limit` its one size-limit refusal, used by every ``MAX_*`` limit.
+No float is used: a rational is a Fraction, or ints over one denominator. A
+rational crosses a file boundary as its canonical text ``p/q`` (``p`` when q = 1).
 """
 
 from __future__ import annotations
@@ -62,13 +23,12 @@ _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical ``p/q`` (or bare ``p``) into an exact rational.
+    """The rational that the canonical text ``p/q`` (or bare ``p``) spells.
 
-    Exactly the strings :func:`format_rational` emits are accepted: ASCII
-    digits, a single leading minus on a nonzero numerator, q >= 2 and
-    coprime to p, no leading zeros and no surrounding whitespace. So
-    ``"2/4"``, ``"10/5"``, ``"007"``, ``" 3 "``, ``"-0"`` and ``"1/0"`` are
-    all rejected with :class:`ValueError`.
+    Exactly the strings :func:`format_rational` writes are accepted: ASCII
+    digits, one leading minus on a nonzero numerator, q >= 2 coprime to p,
+    no leading zeros, no whitespace. Anything else, a non-string included,
+    raises :class:`ValueError`: ``"2/4"``, ``"007"``, ``" 3 "``, ``"-0"``, ``"1/0"``.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {text!r}")
@@ -94,7 +54,11 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def as_rational(value) -> Fraction:
-    """Coerce ints, canonical strings and Fractions; floats are refused."""
+    """An int, a Fraction or a canonical string as a Fraction.
+
+    A bool, a float or any other type raises :class:`TypeError`; a
+    non-canonical string raises :class:`ValueError`, as in :func:`parse_rational`.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -110,11 +74,9 @@ _INT_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive int
 
 
 def check_int(value, name: str, minimum: Optional[int] = 0) -> int:
-    """Return ``value`` unchanged if it is an int (bools excluded) >= ``minimum``.
+    """``value`` if it is an int (not a bool) >= ``minimum`` (None: no bound), else :class:`InvalidInput`.
 
-    ``minimum`` is any integer, or None for no lower bound. Anything else,
-    floats and integral-looking strings included, raises
-    :class:`InvalidInput`; nothing is truncated or coerced.
+    Floats and integral strings are refused too; nothing is truncated or coerced.
     """
     if isinstance(value, bool) or not isinstance(value, int) or (minimum is not None and value < minimum):
         kind = _INT_KINDS.get(minimum, f"an integer >= {minimum}")
@@ -125,7 +87,8 @@ def check_int(value, name: str, minimum: Optional[int] = 0) -> int:
 def check_limit(value: int, limit: int, name: str, what: str) -> int:
     """``value``, or above ``limit`` :class:`InvalidInput` with context ``{name: value, "limit": limit}``.
 
-    Its message is ``what.format(value)`` followed by " above the limit of <limit>".
+    The package's one size-limit refusal, behind every ``MAX_*`` limit. Its
+    message is ``what.format(value)`` followed by " above the limit of <limit>".
     """
     if value > limit:
         raise InvalidInput(f"{what.format(value)} above the limit of {limit}", **{name: value, "limit": limit})
@@ -133,11 +96,9 @@ def check_limit(value: int, limit: int, name: str, what: str) -> int:
 
 
 def vector(entries: Iterable) -> Vector:
-    """Coerce every entry with :func:`as_rational`, each distinct int once.
-
-    A tuple that holds only Fractions comes back as it is.
-    """
+    """The entries as a tuple of Fractions, each coerced (and refused) as by :func:`as_rational`."""
     entries = tuple(entries)
+    # the two branches below skip per-entry coercion; neither was timed on its own, so both stay
     kinds = set(map(type, entries))
     if kinds <= {Fraction}:
         return entries
@@ -148,6 +109,7 @@ def vector(entries: Iterable) -> Vector:
 
 
 def vec_add(u: Sequence, v: Sequence) -> Vector:
+    """u + v, exact; unequal lengths raise :class:`DimensionMismatch`."""
     u, v = vector(u), vector(v)
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
@@ -160,12 +122,9 @@ def vec_scale(coeff, v: Sequence) -> Vector:
 
 
 def _integer_form(values: Iterable) -> tuple[tuple[int, ...], int]:
-    """``values`` as integer numerators over their least common positive denominator.
-
-    Entries are coerced as by :func:`vector`; an all-int sequence is its own
-    numerators over 1, and no Fraction is built for it.
-    """
+    """``values`` (coerced as by :func:`vector`) as int numerators over their least common positive denominator."""
     values = tuple(values)
+    # all ints: their own numerators over 1, no Fraction built; not timed on its own, so it stays
     if set(map(type, values)) <= {int}:
         return values, 1
     values = vector(values)
@@ -175,12 +134,13 @@ def _integer_form(values: Iterable) -> tuple[tuple[int, ...], int]:
 
 @dataclass(frozen=True, init=False)
 class SymmetricPairing:
-    """Symmetric matrix of exact rationals used as an intersection form.
+    """A symmetric matrix of exact rationals, used as an intersection form; frozen.
 
-    Its state is the integer form ``_numerators`` (int rows) over the
-    positive denominator ``_scale``, the lcm of the entries' denominators;
-    equality, hashing and every computation read it. :attr:`entries` is the
-    Fraction view, built on its first read.
+    Built from square rows of ints, Fractions or canonical strings, in
+    O(n^2). A non-square or asymmetric matrix raises :class:`InvalidInput`,
+    the first asymmetric ``row`` and ``column`` in its context; a float
+    raises :class:`TypeError`. Equal matrices compare and hash equal however
+    their entries are spelled.
     """
 
     _numerators: tuple[tuple[int, ...], ...]
@@ -219,10 +179,9 @@ class SymmetricPairing:
 
     @cached_property
     def entries(self) -> tuple[Vector, ...]:
-        """The matrix as Fraction rows, one Fraction per distinct numerator; built on the first read."""
+        """The matrix as rows of Fractions, built on the first read and kept."""
         scale = self._scale
-        fraction = {a: Fraction(a, scale) for a in set(chain.from_iterable(self._numerators))}.__getitem__
-        return tuple(tuple(map(fraction, row)) for row in self._numerators)
+        return tuple(tuple(Fraction(a, scale) for a in row) for row in self._numerators)
 
     @property
     def dimension(self) -> int:
@@ -236,15 +195,7 @@ class SymmetricPairing:
 
     @cached_property
     def nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each row's nonzero numerators as ``(column, int)`` pairs, in column order.
-
-        The entry at (i, j) is the pair's int divided by :attr:`_scale`.
-        Every row, scanned once (O(n^2) int tests in all) and kept on the
-        instance; the congruence starts from these. Products, pullbacks and
-        pairings read rows through :meth:`_row` instead, which scans a row
-        the first time it is read, so they cost O(nnz) of the rows they read
-        (after one O(n) scan per row). Both share each scanned row.
-        """
+        """Each row's nonzero ``(column, int)`` pairs, ints over :attr:`_scale`; O(n^2) on the first read, then kept."""
         return tuple(map(self._row, range(self.dimension)))
 
     @cached_property
@@ -252,10 +203,7 @@ class SymmetricPairing:
         return {}
 
     def _row(self, i: int) -> tuple[tuple[int, int], ...]:
-        """Row i's nonzero ``(column, int)`` pairs of numerators over :attr:`_scale`.
-
-        Scanned on the first read and kept.
-        """
+        """Row i of :attr:`nonzeros`: O(n) on the first read of row i, then kept."""
         row = self._scanned.get(i)
         if row is None:
             numerators = self._numerators[i]
@@ -267,14 +215,14 @@ class SymmetricPairing:
         return sum(a * numerators[j] for j, a in self._row(i))
 
     def apply(self, v: Sequence) -> Vector:
-        """Matrix-vector product A v over the nonzero entries, in integers."""
+        """A v, exact; O(nnz) once the rows are scanned. A wrong length raises :class:`DimensionMismatch`."""
         numerators, den = _integer_form(v)
         self._check_length(numerators)
         den *= self._scale
         return tuple(Fraction(self._row_dot(i, numerators), den) for i in range(self.dimension))
 
     def pair(self, u: Sequence, v: Sequence) -> Fraction:
-        """Bilinear value u^T A v over the nonzero entries and the support of u, in integers."""
+        """u^T A v, exact; O(nnz) of the rows in u's support. A wrong length raises :class:`DimensionMismatch`."""
         left, left_den = _integer_form(u)
         self._check_length(left)
         right, right_den = _integer_form(v)
@@ -283,20 +231,15 @@ class SymmetricPairing:
         return Fraction(total, left_den * right_den * self._scale)
 
     def restrict(self, indices: Sequence[int]) -> "SymmetricPairing":
-        """Submatrix on the given basis positions, in the given order.
+        """The principal submatrix on ``indices``, in that order, equal to a fresh construction of it; O(k^2).
 
-        Each position must be an int (bools and floats are refused) in
-        range. A principal submatrix of a validated symmetric matrix is
-        square, symmetric and exact already, so it is built without the
-        constructor's coercion and checks: each selected integer row is
-        copied by one ``itemgetter`` call, O(k^2) for k positions, and no
-        Fraction is built. The rows and the scale are then divided by their
-        gcd: the scale becomes the entries' least common denominator, the
-        canonical form a fresh construction has, and the two are equal.
+        A position that is not an int (bools and floats refused) or is out
+        of range raises :class:`InvalidInput`.
         """
         for i in indices:
             if not 0 <= check_int(i, "basis position", None) < self.dimension:
                 raise InvalidInput(f"basis position {i} out of range", dimension=self.dimension)
+        # itemgetter copy and gcd guard vs the constructor: chain_intersect pass 29.4-30.0 -> 25.6-26.7 ms
         # itemgetter of one index returns the item itself, not a 1-tuple, and takes no empty list
         pick = itemgetter(*indices) if len(indices) > 1 else lambda seq: tuple(seq[i] for i in indices)
         rows, scale = tuple(map(pick, pick(self._numerators))), self._scale
@@ -311,26 +254,13 @@ class SymmetricPairing:
 
     @cached_property
     def congruence(self) -> Factor:
-        """The fraction-free symmetric factor of the integer form, computed once and kept on the instance.
+        """The pairing's fraction-free symmetric :class:`Factor`, computed on the first read and kept.
 
-        With N the int rows (A times :attr:`_scale`) and Q the product of
-        the factor's shears in order, the :class:`Factor` satisfies
-        Q^T N Q = U^T diag(1 / (p_{t-1} p_t)) U: U has one row per pivot t,
-        holding the minor p_t at column ``order[t]`` and ``rows[t]``
-        elsewhere (the Schur complement left on the zero block is zero).
-        Every entry is a minor of Q^T N Q (Bareiss), so each update divides
-        exactly by an earlier minor and no common divisor is taken out.
-
-        Pivots: the first pending position with a nonzero diagonal; when
-        every pending diagonal is zero, the shear e_k -> e_k + e_j for the
-        first pending k with a nonzero row, j the least column of that row,
-        makes the diagonal at k twice a_kj and k the next pivot. When every
-        pending row is zero, the pending positions are the zero block.
-
-        Cost: a row is rescaled only when a pivot touches it, so after the
-        O(n^2) scan of :attr:`nonzeros` a tridiagonal form such as a
-        (-2)-chain costs O(n) and keeps n - 1 off-diagonal entries; a dense
-        form costs O(n^3) int operations.
+        With N the int rows (A times :attr:`_scale`) and Q the product of the
+        shears in order, Q^T N Q = U^T diag(1 / (p_{t-1} p_t)) U, where U has
+        one row per pivot t: the minor p_t at column ``order[t]`` and
+        ``rows[t]`` elsewhere. After the O(n^2) :attr:`nonzeros`, O(n) on a
+        tridiagonal form such as a (-2)-chain and O(n^3) int operations dense.
         """
         rows = list(map(dict, self.nonzeros))
         seen = [0] * len(rows)  # the number of pivots each row has been brought past
@@ -345,6 +275,8 @@ class SymmetricPairing:
                 seen[i] = t
             return rows[i]
 
+        # pivot: the first pending nonzero diagonal, else a shear on the first
+        # pending nonzero row; the pending rows left all zero are the zero block
         pending = list(range(len(rows)))
         while pending:
             t = len(order)
@@ -388,13 +320,10 @@ class SymmetricPairing:
 class Factor(NamedTuple):
     """:attr:`SymmetricPairing.congruence`: a fraction-free symmetric factor of a pairing's integer form.
 
-    ``order`` holds the pivot positions in elimination order; ``rows[t]``
-    the ``(column, int)`` pairs of pivot t's row of Bareiss entries over
-    the columns still pending when it was taken, its diagonal left out;
-    ``minors`` p_0 = 1, then p_t, the t-th leading minor of the sheared
-    form in pivot order (the diagonal of pivot t); ``shears`` the hyperbolic steps ``(k, j)``,
-    e_k -> e_k + e_j, in the order taken; ``zeros`` the positions of the
-    zero block, ascending.
+    ``order``: the pivots in elimination order; ``rows[t]``: pivot t's
+    ``(column, int)`` pairs over the columns then pending, diagonal left out;
+    ``minors``: p_0 = 1, then the t-th leading minor in pivot order;
+    ``shears``: the steps e_k -> e_k + e_j as ``(k, j)``; ``zeros``: the zero block, ascending.
     """
 
     order: tuple[int, ...]
@@ -405,18 +334,12 @@ class Factor(NamedTuple):
 
 
 def solve_linear(pairing: SymmetricPairing, rhs: Sequence) -> Vector:
-    """Solve A x = b exactly through the pairing's cached :class:`Factor`.
+    """The exact solution x of A x = b, read from the pairing's :class:`Factor` (computed on the first solve).
 
-    b enters as its integer numerators over one denominator. The shears
-    are applied to it in order, the elimination's forward pass runs on it
-    (each entry rescaled only when a pivot touches it) and leaves r_k at
-    pivot k, and back substitution y_k = (det r_k - sum u_kl y_l) / p_k
-    gives det times the solution of the integer system, with det the last
-    minor; every division is exact and no common divisor is taken out. The
-    shears are undone in reverse, and one ``Fraction`` is built per entry.
-    O(nnz) of the factor on a chain, O(n^2) dense.
-    Raises :class:`SingularMatrix`, with the first position of the zero
-    block as ``column``, exactly when A is singular.
+    ``rhs`` is coerced as by :func:`vector`; a wrong length raises
+    :class:`DimensionMismatch`. Exactly when A is singular it raises
+    :class:`SingularMatrix`, the first zero-block position as ``column``.
+    O(nnz) of the factor: O(n) on a chain, O(n^2) dense.
     """
     b, den = _integer_form(rhs)
     pairing._check_length(b)
@@ -455,12 +378,9 @@ def solve_linear(pairing: SymmetricPairing, rhs: Sequence) -> Vector:
 
 
 def signature(pairing: SymmetricPairing) -> tuple[int, int, int]:
-    """Inertia (positives, negatives, zeros) of the form, read off its cached :class:`Factor`.
+    """Inertia (positives, negatives, zeros) of the form: the signs of p_t / p_{t-1} of its :class:`Factor`.
 
-    The factor is a congruence to diag(1 / (p_{t-1} p_t)) plus the zero
-    block, so by Sylvester's law of inertia (Jacobi's rule) each pivot
-    counts by the sign of p_t / p_{t-1} and each zero-block position as a
-    zero.
+    By Sylvester's law of inertia (Jacobi's rule); the first call factors the form.
     """
     _, _, minors, _, zeros = pairing.congruence
     positives = sum((p > 0) == (q > 0) for p, q in zip(minors, minors[1:]))
@@ -485,13 +405,7 @@ def hodge_check(
     a1,
     a2,
 ) -> HodgeVerdict:
-    """Evaluate D1^2 D2^2 <= (D1 . D2)^2 together with its hypothesis.
-
-    ``hypothesis_met`` reports whether the supplied combination
-    a1*D1 + a2*D2 has strictly positive square; only then does the index
-    theorem assert the inequality. Both comparison fields are computed
-    unconditionally so callers can inspect degenerate configurations.
-    """
+    """D1^2 D2^2 <= (D1 . D2)^2, and ``hypothesis_met``: a1 D1 + a2 D2 has positive square (the theorem's case)."""
     u, w = vector(d1), vector(d2)
     combo = vec_add(vec_scale(a1, u), vec_scale(a2, w))
     hypothesis = pairing.pair(combo, combo) > 0

@@ -1,26 +1,7 @@
-"""JSON document schemas with exact rationals as canonical "p/q" strings.
+"""JSON documents of the package's objects, every rational a canonical "p/q" string.
 
-Every number that crosses a file boundary is a string in lowest terms, so
-documents round-trip bit-exactly; nothing is ever widened to binary
-floating point. Structural problems with a document (missing keys, wrong
-shapes, unparseable rationals, unknown kind tags) raise
-:class:`DocumentError`, which the CLI reports as an input error, while
-well-formed documents describing invalid mathematics (say a resolution
-whose exceptional matrix is not negative definite) raise the domain
-errors of the constructing module and are reported as validation
-failures.
-
-``dumps`` is the one serializer, error payloads included: sorted keys,
-two-space indent, trailing newline, so byte-identical output for equal
-payloads. It writes exactly what ``json.dumps(payload, indent=2,
-sort_keys=True)`` plus a newline writes, in one recursive pass that escapes
-every string with the C ``encode_basestring_ascii`` (the indenting
-``json.dumps`` falls back to a pure-Python encoder). It takes string keys
-only and writes no floats: the package has neither. A payload may hold a
-``Fraction``, written as its canonical "p/q" string, so callers put exact
-values in and never spell them; and a :class:`Basket` or
-:class:`LocalProfile` as it is, as the enumerate document holds its
-witnesses; its text is made once per indent per call.
+A malformed document raises :class:`DocumentError`; a well-formed one that
+describes invalid mathematics raises the constructing module's error.
 """
 
 from __future__ import annotations
@@ -55,24 +36,19 @@ def _document(value):
 
 
 def dumps(payload: Any) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte, so equal payloads give equal text.
 
-    A ``Fraction`` in the payload is written as its canonical string
-    (``format_rational``), as if the payload held that text. A
-    :class:`Basket` or :class:`LocalProfile` in the payload is written as
-    its document (:func:`basket_to_json`, :func:`profile_to_json`), and
-    each one once per indent, however often the payload repeats it. Dict
-    keys must be strings and no value may be a float; either raises
-    :class:`TypeError`, as any other value JSON cannot hold does.
+    A ``Fraction`` is written as its canonical string, a :class:`Basket` or
+    :class:`LocalProfile` as its document. A non-string key, a float or any
+    other value JSON cannot hold raises :class:`TypeError`. One pass over
+    the payload; each basket's or profile's text is made once per indent.
     """
     return _write(payload, _document)
 
 
 def _write(payload: Any, default: Callable[[Any], Any]) -> str:
-    # dumps with json's ``default``: what it returns for a value that is no
-    # dict, list, tuple, str, int, bool or None is written in its place. The
-    # text of each such object is made once per indent and reused; the memo
-    # holds the object beside its text, so no id in it is reused in the call
+    # dumps with json's ``default`` for a value that is no dict, list, tuple, str,
+    # int, bool, Fraction or None; the memo keeps each object beside its text, so no id is reused
     memo: dict[tuple[int, str], tuple[Any, str]] = {}
 
     def render(value, pad: str) -> str:
@@ -90,10 +66,7 @@ def _write(payload: Any, default: Callable[[Any], Any]) -> str:
 
 
 def _append(chunks: list, head: str, value, pad: str, render) -> None:
-    # head and then value; pad is the newline and indent of value's line.
-    # A scalar member is one chunk, separator and key included, a Fraction
-    # among them as its canonical string; a value JSON cannot hold is one
-    # chunk, its text from render(value, pad)
+    # head and then value; pad is the newline and indent of value's line
     if isinstance(value, str):
         chunks.append(head + _quote(value))
     elif isinstance(value, dict):
@@ -105,7 +78,8 @@ def _append(chunks: list, head: str, value, pad: str, render) -> None:
         for key in sorted(value):
             item = value[key]
             head += _quote(key) + ": "
-            if type(item) is str:  # most members: no call
+            # str members skip the call; with _ratio_text, enum_ladder 84.6-87.7 -> 88.8-91.7 ops/s
+            if type(item) is str:
                 chunks.append(head + _quote(item))
             else:
                 _append(chunks, head, item, inner, render)
@@ -311,7 +285,7 @@ def model_from_json(data) -> tuple[SurfaceModel, Optional[ResolutionData]]:
 # ---------------------------------------------------------------- tables
 
 def value_window(h: HilbertFunction) -> int:
-    """Window length controlling integrality, recomputed from the function."""
+    """The integrality window L of the function's own period (``riemann_roch.window_length``)."""
     return window_length(h.period, h.k1, h.k2)
 
 
@@ -341,15 +315,11 @@ def hilbert_function_from_json(data) -> HilbertFunction:
 
 
 def enumerated_function_to_json(entry: EnumeratedFunction, memo: Optional[dict] = None) -> dict:
-    """The function, its witnesses and its values P(0..2L), L = :func:`value_window`.
+    """The entry's function, its witnesses and its values P(0..2L), L = :func:`value_window`.
 
-    ``witnesses`` is the entry's tuple of :class:`Basket` as it is, which
-    :func:`dumps` writes as one :func:`basket_to_json` document each.
-    ``memo`` is an optional dict, kept by the caller across the entries of
-    one document, that holds each stored form's chi-free texts and integer
-    values, so the entries of one form at several chi share them. It keys on
-    the form, not on equality: equal functions stored at periods T and 2T
-    write different periods and values.
+    The witnesses stay the entry's :class:`Basket` objects, which :func:`dumps`
+    writes. ``memo``, a dict the caller keeps across one document's entries,
+    lets the entries of one stored function at several chi share their texts.
     """
     h = entry.function
     key = h._form_key()

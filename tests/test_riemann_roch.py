@@ -326,6 +326,12 @@ def test_extrapolated_flag_outside_identity():
     assert hash(a) == hash(b)
 
 
+def test_a_function_is_not_equal_to_other_types():
+    h = HilbertFunction(k1=F(1), k2=F(0), chi=1, period=1, correction=(F(0),))
+    assert h.__eq__(1) is NotImplemented
+    assert (h == 1) is False and (h != 1) is True
+
+
 def test_second_difference_worked():
     h = to_hilbert_function(ModelNumerics(k1=F(1), k2=F(0), chi=1, basket=T2x2))
     assert h.value(1) == 1 and h.value(3) == 5 and h.value(5) == 13
@@ -348,6 +354,15 @@ def test_second_difference_tamper_after_value():
     h = to_hilbert_function(ModelNumerics(k1=F(1), k2=F(0), chi=1, basket=T2x2))
     assert h.value(3) == 5
     object.__setattr__(h, "correction", (F(0),))
+    assert second_difference_check(h) is False
+
+
+def test_second_difference_integer_form_cut_after_the_view():
+    # the view is built first, so the length check passes and the evaluation raises
+    h = to_hilbert_function(ModelNumerics(k1=F(1), k2=F(0), chi=1, basket=T2x2))
+    assert len(h.correction) == h.period == 2
+    den, a, b, c = h._integer_form
+    object.__setattr__(h, "_integer_form", (den, a, b, c[:1]))
     assert second_difference_check(h) is False
 
 

@@ -164,6 +164,12 @@ def test_hilbert_function_round_trip():
     assert hilbert_function_to_json(back) == doc
 
 
+def test_hilbert_function_document_refuses_a_non_boolean_extrapolated():
+    doc = {"k1": "1", "k2": "0", "chi": 1, "period": 1, "correction": ["0"], "extrapolated": "no"}
+    with pytest.raises(DocumentError, match="extrapolated must be a boolean"):
+        hilbert_function_from_json(doc)
+
+
 def test_value_window():
     h = HilbertFunction(k1=F(1, 4), k2=F(1, 3), chi=0, period=2, correction=(F(0), F(0)))
     assert value_window(h) == 24

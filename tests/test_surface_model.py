@@ -35,6 +35,8 @@ def test_model_validation():
         model([[0, 1], [1, 0]], labels=("a",))
     with pytest.raises(InvalidInput):
         model([[0, 1], [1, 0]], labels=("a", "a"))
+    with pytest.raises(InvalidInput, match="nonempty strings"):
+        model([[0, 1], [1, 0]], labels=("a", ""))
     with pytest.raises(DimensionMismatch):
         model([[1]], canonical_class=(1, 2))
     with pytest.raises(DimensionMismatch):
