@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import sys
@@ -76,35 +77,38 @@ def _sweep_flag(text: str) -> tuple[str, int, int]:
     return (name, lo, hi)
 
 
+# argparse's width when stdout is no terminal, fixed: no formatter asks the terminal, COLUMNS changes no text
+_HELP_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
+
+def _add_command(subparsers, name: str, **kwargs) -> argparse.ArgumentParser:
+    command = subparsers.add_parser(name, formatter_class=_HELP_FORMATTER, **kwargs)
+    # the output flags again, after the subcommand; SUPPRESS keeps them from clobbering a global value
+    command.add_argument("--format", choices=("json", "csv"), dest="output_format", default=argparse.SUPPRESS)
+    command.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS)
+    return command
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="folcan",
         description="Exact numerical invariants of foliated surfaces.",
+        formatter_class=_HELP_FORMATTER,
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
     parser.add_argument("--out", metavar="PATH", default=None)
-    # the output flags are accepted both before and after the subcommand;
-    # SUPPRESS keeps the subcommand copy from clobbering a global value
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("json", "csv"), dest="output_format", default=argparse.SUPPRESS
-    )
-    common.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    intersect = add_command("intersect", help="pair divisor classes through a model file")
+    intersect = _add_command(sub, "intersect", help="pair divisor classes through a model file")
     intersect.add_argument("--model", required=True, metavar="FILE")
     intersect.add_argument("--left", required=True, help="class name or comma-separated rationals")
     intersect.add_argument("--right", required=True)
 
-    hilbert = add_command("hilbert", help="Euler characteristic table from a numerics file")
+    hilbert = _add_command(sub, "hilbert", help="Euler characteristic table from a numerics file")
     hilbert.add_argument("--numerics", required=True, metavar="FILE")
     hilbert.add_argument("--mmax", type=_int_flag, required=True)
 
-    enum = add_command("enumerate", help="all Hilbert functions for fixed (k1, k2, s)")
+    enum = _add_command(sub, "enumerate", help="all Hilbert functions for fixed (k1, k2, s)")
     enum.add_argument("--k1", type=_rational_flag, required=True)
     enum.add_argument("--k2", type=_rational_flag, required=True)
     enum.add_argument("--s", type=_int_flag, required=True)
@@ -115,20 +119,20 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--q-index-divides", action="store_true")
     enum.add_argument("--workers", type=_int_flag, default=1, help="accepted for compatibility; no effect")
 
-    bounds = add_command("bounds", help="window for the ambient canonical square")
+    bounds = _add_command(sub, "bounds", help="window for the ambient canonical square")
     bounds.add_argument("--k1", type=_rational_flag, required=True)
     bounds.add_argument("--k2", type=_rational_flag, required=True)
     bounds.add_argument("--s", type=_int_flag, required=True)
     bounds.add_argument("--kx2", type=_rational_flag, default=None)
 
-    example = add_command("example", help="built-in double-cover families")
+    example = _add_command(sub, "example", help="built-in double-cover families")
     family = example.add_subparsers(dest="family", required=True)
-    ruled = family.add_parser("ruled", parents=[common])
+    ruled = _add_command(family, "ruled")
     ruled.add_argument("--k", type=_int_flag, required=True)
     ruled.add_argument("--g", type=_int_flag, required=True)
     ruled.add_argument("--q", type=_int_flag, required=True)
     ruled.add_argument("--sweep", type=_sweep_flag, default=None, metavar="PARAM=A..B")
-    abelian = family.add_parser("abelian", parents=[common])
+    abelian = _add_command(family, "abelian")
     abelian.add_argument("--d", type=_int_flag, required=True)
     abelian.add_argument("--n", type=_int_flag, required=True)
     abelian.add_argument("--sweep", type=_sweep_flag, default=None, metavar="PARAM=A..B")
@@ -315,7 +319,8 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     or integer flag among them. An error is one JSON object ``{"error":
     {"code", "message", "context"}}`` on ``stderr``; argparse writes usage
     and errors to ``stderr``, ``--help`` to ``stdout``. A failed run writes
-    nothing to ``stdout`` or ``--out``. Equal inputs give byte-identical output.
+    nothing to ``stdout`` or ``--out``. Equal inputs give byte-identical
+    output: usage and help wrap at 78 columns whatever the terminal.
     """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr

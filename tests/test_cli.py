@@ -387,6 +387,76 @@ def test_argparse_output_goes_to_the_given_streams(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+HELP_AND_USAGE = [
+    ["--help"],
+    *([name, "--help"] for name in ("intersect", "hilbert", "enumerate", "bounds", "example")),
+    ["example", "ruled", "--help"],
+    ["enumerate", "--k1", "1"],  # a usage error: its usage text goes to stderr
+]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE, ids=" ".join)
+def test_help_and_usage_do_not_depend_on_the_terminal(argv, monkeypatch):
+    seen = []
+    for columns in (None, "40", "200"):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        seen.append(invoke(argv))
+    assert seen[0] == seen[1] == seen[2]
+    status, out, err = seen[0]
+    text = out if status == 0 else err
+    assert status == (0 if "--help" in argv else 2) and text.startswith("usage: folcan")
+    # wrapped at 78 columns, argparse's width when stdout is not a terminal; an error line is not wrapped
+    assert max(len(line) for line in text.splitlines() if ": error: " not in line) <= 78
+
+
+def test_one_parser_serves_many_runs(model_file, numerics_file, tmp_path, monkeypatch):
+    out_path = tmp_path / "out.txt"
+    bounds = ["bounds", "--k1", "8", "--k2", "8", "--s", "1", "--kx2", "6"]
+    hilbert = ["hilbert", "--numerics", numerics_file, "--mmax", "5"]
+    cases = [
+        ["--help"],
+        bounds,
+        ["--format", "csv", *bounds],
+        [*bounds, "--format", "csv"],
+        ["bounds", "--k1", "x", "--k2", "8", "--s", "1"],
+        ["enumerate", "--k1", "1", "--k2", "0", "--s", "2", "--chi", "1", "--cap", "2", "--max-cusps", "1"],
+        ["example", "ruled", "--k", "2", "--g", "2", "--q", "0"],
+        ["example", "abelian", "--d", "2", "--n", "1", "--sweep", "n=1..4", "--format", "csv"],
+        ["example", "ruled", "--help"],
+        ["--out", str(out_path), *hilbert],
+        [*hilbert, "--format", "csv", "--out", str(out_path)],
+        ["--format", "csv", "--out", str(out_path), "example", "abelian", "--d", "2", "--n", "1"],
+        ["intersect", "--model", model_file, "--left", "D", "--right", "0,1"],
+        ["example", "abelian", "--help"],
+        ["enumerate", "--help"],
+        ["example"],
+        ["--format", "xml", *bounds],
+        ["hilbert", "--numerics", numerics_file, "--mmax", "100001"],
+        ["intersect", "--model", str(tmp_path / "missing.json"), "--left", "D", "--right", "D"],
+    ]
+    cases += cases[::-1]
+
+    def run_all():
+        results = []
+        for argv in cases:
+            status, out, err = invoke(argv)
+            written = out_path.read_text() if out_path.exists() else None
+            out_path.unlink(missing_ok=True)
+            results.append((status, out, err, written))
+        return results
+
+    fresh = run_all()
+    parser = folcan.cli.build_parser()
+    monkeypatch.setattr(folcan.cli, "build_parser", lambda: parser)
+    assert run_all() == fresh
+    statuses = [status for status, *_ in fresh]
+    assert statuses.count(0) > len(cases) // 2 and {1, 2} <= set(statuses)
+    assert sum(written is not None for *_, written in fresh) == 6
+
+
 def test_hilbert_mmax_limit(numerics_file, monkeypatch):
     assert folcan.cli.MAX_MMAX == 100_000
     monkeypatch.setattr(folcan.cli, "MAX_MMAX", 5)
