@@ -47,6 +47,7 @@ from .errors import (
     FolcanError,
     InvalidInput,
     InvalidOverride,
+    JsonParseError,
     NegativeGenus,
     NonIntegralGenus,
     NonPositiveVolume,

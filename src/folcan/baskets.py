@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from .errors import InvalidInput, InvalidOverride
-from .exact_core import check_int, vector
+from .exact_core import _integer_form, check_int, vector
 
 
 class SingularityKind(str, enum.Enum):
@@ -87,9 +87,7 @@ class LocalProfile:
         """
         period, kind = self.local_index or 1, self.kind
         if self.override is not None:
-            terms = [local_term(self, r or period) for r in range(period)]
-            scale = math.lcm(*(t.denominator for t in terms))
-            values = [t.numerator * (scale // t.denominator) for t in terms]
+            values, scale = _integer_form(self.override)
         elif kind is SingularityKind.TERMINAL_CYCLIC:
             scale, values = 2 * period, [-r * (period - r) for r in range(period)]
         elif kind is SingularityKind.DIHEDRAL_HALF:

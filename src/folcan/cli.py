@@ -30,7 +30,7 @@ from .constructions import (
     abelian_double_cover,
     ruled_double_cover,
 )
-from .errors import DocumentError, FolcanError, InvalidInput
+from .errors import DocumentError, FolcanError, InvalidInput, JsonParseError
 from .exact_core import check_int, check_limit, format_rational, parse_rational
 from .riemann_roch import hilbert_table, integrality_check
 from .surface_model import ResolutionData, _pair_pullbacks, mumford_pullback
@@ -81,8 +81,10 @@ def _sweep_flag(text: str) -> tuple[str, int, int]:
 _HELP_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
-def _add_command(subparsers, name: str, **kwargs) -> argparse.ArgumentParser:
+def _add_command(subparsers, name: str, handler=None, **kwargs) -> argparse.ArgumentParser:
     command = subparsers.add_parser(name, formatter_class=_HELP_FORMATTER, **kwargs)
+    if handler is not None:  # the command table: run calls args.handler
+        command.set_defaults(handler=handler)
     # the output flags again, after the subcommand; SUPPRESS keeps them from clobbering a global value
     command.add_argument("--format", choices=("json", "csv"), dest="output_format", default=argparse.SUPPRESS)
     command.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS)
@@ -99,16 +101,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="PATH", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    intersect = _add_command(sub, "intersect", help="pair divisor classes through a model file")
+    intersect = _add_command(sub, "intersect", _cmd_intersect, help="pair divisor classes through a model file")
     intersect.add_argument("--model", required=True, metavar="FILE")
     intersect.add_argument("--left", required=True, help="class name or comma-separated rationals")
     intersect.add_argument("--right", required=True)
 
-    hilbert = _add_command(sub, "hilbert", help="Euler characteristic table from a numerics file")
+    hilbert = _add_command(sub, "hilbert", _cmd_hilbert, help="Euler characteristic table from a numerics file")
     hilbert.add_argument("--numerics", required=True, metavar="FILE")
     hilbert.add_argument("--mmax", type=_int_flag, required=True)
 
-    enum = _add_command(sub, "enumerate", help="all Hilbert functions for fixed (k1, k2, s)")
+    enum = _add_command(sub, "enumerate", _cmd_enumerate, help="all Hilbert functions for fixed (k1, k2, s)")
     enum.add_argument("--k1", type=_rational_flag, required=True)
     enum.add_argument("--k2", type=_rational_flag, required=True)
     enum.add_argument("--s", type=_int_flag, required=True)
@@ -119,13 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--q-index-divides", action="store_true")
     enum.add_argument("--workers", type=_int_flag, default=1, help="accepted for compatibility; no effect")
 
-    bounds = _add_command(sub, "bounds", help="window for the ambient canonical square")
+    bounds = _add_command(sub, "bounds", _cmd_bounds, help="window for the ambient canonical square")
     bounds.add_argument("--k1", type=_rational_flag, required=True)
     bounds.add_argument("--k2", type=_rational_flag, required=True)
     bounds.add_argument("--s", type=_int_flag, required=True)
     bounds.add_argument("--kx2", type=_rational_flag, default=None)
 
-    example = _add_command(sub, "example", help="built-in double-cover families")
+    example = _add_command(sub, "example", _cmd_example, help="built-in double-cover families")
     family = example.add_subparsers(dest="family", required=True)
     ruled = _add_command(family, "ruled")
     ruled.add_argument("--k", type=_int_flag, required=True)
@@ -141,7 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        # malformed JSON, bytes that are not UTF-8 and an integer past the int-string
+        # limit are ValueErrors; too deep a nesting is a RecursionError
+        except (ValueError, RecursionError) as exc:
+            raise JsonParseError(str(exc)) from None
 
 
 def _cell(value) -> str:
@@ -294,15 +301,6 @@ def _cmd_example(args) -> str:
     return _csv_text([[name, "kf2", "kf_dot_kx", "fiber_genus"], *rows])
 
 
-_HANDLERS = {
-    "intersect": _cmd_intersect,
-    "hilbert": _cmd_hilbert,
-    "enumerate": _cmd_enumerate,
-    "bounds": _cmd_bounds,
-    "example": _cmd_example,
-}
-
-
 def _error_payload(code: str, message: str, context: dict) -> str:
     # dumps' writer: a Fraction as its canonical string, any other value JSON cannot hold as its str
     body = {"error": {"code": code, "message": message, "context": context}}
@@ -312,13 +310,16 @@ def _error_payload(code: str, message: str, context: dict) -> str:
 def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     """Run ``folcan`` on ``argv``, writing to ``stdout`` and ``stderr`` (default: the process's); return the exit status.
 
-    0 on success; 1 for an unreadable or malformed document; 2 for invalid
-    mathematics, a request above a size limit (:data:`MAX_MMAX`,
+    0 on success; 1 for an unreadable or malformed document, a
+    ``json_parse_error`` when it is not UTF-8, not JSON, nested past the
+    recursion limit or holds an integer past ``sys.get_int_max_str_digits()``;
+    2 for invalid mathematics, a request above a size limit (:data:`MAX_MMAX`,
     :data:`MAX_SWEEP`, ``bounds.MAX_BASKETS``, ``bounds.MAX_CHI``,
-    ``riemann_roch.MAX_PERIOD``) or a usage error, a non-canonical rational
-    or integer flag among them. An error is one JSON object ``{"error":
-    {"code", "message", "context"}}`` on ``stderr``; argparse writes usage
-    and errors to ``stderr``, ``--help`` to ``stdout``. A failed run writes
+    ``riemann_roch.MAX_PERIOD``, or a result integer past the int-string
+    limit: ``invalid_input`` with ``limit`` in its context) or a usage error,
+    a non-canonical rational or integer flag among them. An error is one
+    JSON object ``{"error": {"code", "message", "context"}}`` on ``stderr``;
+    argparse writes usage and errors to ``stderr``, ``--help`` to ``stdout``. A failed run writes
     nothing to ``stdout`` or ``--out``. Equal inputs give byte-identical
     output: usage and help wrap at 78 columns whatever the terminal.
     """
@@ -332,14 +333,18 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        text = _HANDLERS[args.command](args)
+        text = args.handler(args)
         if args.out is not None:  # written only once the handler has returned
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
-    except json.JSONDecodeError as exc:
-        error = 1, "json_parse_error", str(exc), {}
     except OSError as exc:
         error = 1, "io_error", str(exc), {}
+    except ValueError as exc:  # str() of a result integer past the interpreter's int-string limit
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        message = f"a result integer has more digits than the int-string limit of {limit}"
+        error = 2, "invalid_input", message, {"limit": limit}
     except FolcanError as exc:
         error = 1 if isinstance(exc, DocumentError) else 2, exc.code, str(exc), exc.context
     else:

@@ -55,3 +55,9 @@ class DocumentError(FolcanError):
     """Malformed input document (CLI exit status 1, not 2)."""
 
     code = "document_error"
+
+
+class JsonParseError(DocumentError):
+    """A document that does not parse: not UTF-8, not JSON, nested too deep or holding an over-long integer."""
+
+    code = "json_parse_error"

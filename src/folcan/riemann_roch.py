@@ -14,7 +14,7 @@ from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .baskets import Basket, LocalProfile, basket_term, basket_uses_extrapolation, q_index
 from .errors import InvalidInput, NotIntegral
-from .exact_core import as_rational, check_int, check_limit, format_rational
+from .exact_core import _integer_form, _ratio_text, as_rational, check_int, check_limit, format_rational, vector
 
 @dataclass(frozen=True)
 class ModelNumerics:
@@ -65,22 +65,23 @@ class ModelNumerics:
         return HilbertFunction._from_integers(self.k1, self.k2, self.chi, raw, den, flagged)
 
     def _with_cusps(self, basket: Basket, cusps: int) -> ModelNumerics:
-        """The numerics of ``basket``, this one's plus ``cusps`` cusps: this table and verdict shifted by -cusps."""
-        table = self._table._copy(shift=-cusps)
-        verdict = None if (kept := self._verdict) is None else (*kept[:2], kept[2] - cusps)
+        """The numerics of ``basket``, this one's plus ``cusps`` cusps: this table shifted by -cusps.
+
+        An integer shift moves no m across integrality, so a verdict already kept here carries over as it is.
+        """
         num = object.__new__(ModelNumerics)
-        num.__dict__.update(self.__dict__, basket=basket, _table=table, _verdict=verdict)
+        num.__dict__.update(self.__dict__, basket=basket, _table=self._table._copy(shift=-cusps))
         return num
 
     @functools.cached_property
-    def _verdict(self) -> Optional[tuple[int, int, Fraction]]:
-        # (L, m, P(m)) for the first m in [1, L) whose P(m) is not an integer,
-        # None if there is none; L is the window of the table's own period
+    def _verdict(self) -> Optional[int]:
+        # the first m in [1, L) whose P(m) is not an integer, None if there is
+        # none; L is the window of the table's own period
         table = self._table
         den, window = table._integer_form[0], window_length(table.period, self.k1, self.k2)
         for m, total in enumerate(table._numerators(range(1, window)), 1):
             if total % den:
-                return window, m, self.chi + Fraction(total, den)
+                return m
         return None
 
 
@@ -142,13 +143,6 @@ def integrality_check(num: ModelNumerics) -> bool:
     return num._verdict is None
 
 
-def _ratio_text(num: int, den: int) -> str:
-    # format_rational(Fraction(num, den)) for den > 0, by one gcd
-    # with _append's str branch: enum_ladder 84.6-87.7 -> 88.8-91.7 ops/s, op_p90 17.9-18.4 -> 16.3-17.0 ms
-    g = math.gcd(num, den)
-    return str(num // den) if g == den else f"{num // g}/{den // g}"
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class HilbertFunction:
     """The table value(m) = (k1 m^2 - k2 m) / 2 + chi + correction[m mod T] for m >= 1, value(0) = chi; frozen.
@@ -169,15 +163,14 @@ class HilbertFunction:
 
     def __init__(self, k1, k2, chi, period, correction, extrapolated=False):
         k1, k2 = as_rational(k1), as_rational(k2)
-        correction = tuple(map(as_rational, correction))
+        correction = vector(correction)
         check_int(chi, "chi", None)
         check_int(period, "period", 1)
         if len(correction) != period:
             raise InvalidInput(f"correction table has length {len(correction)}, period is {period}")
         if not isinstance(extrapolated, bool):
             raise InvalidInput(f"extrapolated must be a bool, got {extrapolated!r}")
-        den = math.lcm(*(x.denominator for x in correction))
-        raw = tuple(x.numerator * (den // x.denominator) for x in correction)
+        raw, den = _integer_form(correction)
         # the state _from_integers sets, with the given tuple kept as the view
         self.__dict__.update(vars(self._from_integers(k1, k2, chi, raw, den, extrapolated)), correction=correction)
 
@@ -297,12 +290,14 @@ def hilbert_table(num: ModelNumerics) -> HilbertFunction:
 def to_hilbert_function(num: ModelNumerics) -> HilbertFunction:
     """:func:`integrality_check`, then :func:`hilbert_table`.
 
-    A failed check raises :class:`NotIntegral` with the window, and the first
-    m >= 1 whose value is not an integer and that value, from the kept verdict.
+    A failed check raises :class:`NotIntegral` with the window of the table's
+    period, the kept verdict (the first m >= 1 whose value is not an
+    integer) and that value's text.
     """
     if not integrality_check(num):
-        window, m, value = num._verdict
-        text = format_rational(value)
+        m, table = num._verdict, num._table
+        text = format_rational(table.value(m))
+        window = window_length(table.period, num.k1, num.k2)
         raise NotIntegral(f"table has non-integer values, first P({m}) = {text}", window=window, m=m, value=text)
     return hilbert_table(num)
 

@@ -101,6 +101,44 @@ def test_intersect_unparseable_json(tmp_path):
     assert json.loads(err)["error"]["code"] == "json_parse_error"
 
 
+INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_limit = pytest.mark.skipif(INT_LIMIT == 0, reason="the interpreter has no int-string limit")
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(json.dumps({"k1": "1", "k2": "0", "chi": 1}).encode("utf-16"), id="utf16"),
+    pytest.param(b"\xe9", id="latin1-byte"),
+    pytest.param(b"[" * 100_000, id="nested-past-the-recursion-limit"),
+    pytest.param(b'{"k1": "1", "k2": "0", "chi": 1%s}' % (b"0" * INT_LIMIT), id="integer-past-the-int-string-limit",
+                 marks=needs_int_limit),
+])
+def test_documents_that_do_not_parse_are_json_parse_errors(content, tmp_path):
+    path = tmp_path / "numerics.json"
+    path.write_bytes(content)
+    status, out, err = invoke(["hilbert", "--numerics", str(path), "--mmax", "2"])
+    assert (status, out) == (1, "")
+    assert json.loads(err)["error"]["code"] == "json_parse_error"
+
+
+@needs_int_limit
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+@pytest.mark.parametrize("command", ["bounds", "intersect"])
+def test_results_past_the_int_string_limit_are_refused(command, output_format, model_file, tmp_path):
+    # each input integer has INT_LIMIT / 2 + 1 digits, so it parses, and the
+    # result holds its square: k2^2 / k1 in bounds, the pairing in intersect
+    big = "9" * (INT_LIMIT // 2 + 1)
+    if command == "bounds":
+        argv = ["bounds", "--k1", "1", "--k2", big, "--s", "1"]
+    else:
+        argv = ["intersect", "--model", model_file, "--left", f"{big},0", "--right", f"{big},0"]
+    target = tmp_path / "report.txt"
+    status, out, err = invoke(["--format", output_format, "--out", str(target)] + argv)
+    assert (status, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_input" and error["context"] == {"limit": INT_LIMIT}
+    assert not target.exists()
+
+
 def test_intersect_document_error(tmp_path):
     path = tmp_path / "shape.json"
     path.write_text(json.dumps({"basis_labels": ["a"]}))

@@ -7,6 +7,7 @@ from folcan.errors import DimensionMismatch, InvalidInput, SingularMatrix
 from folcan.exact_core import (
     HodgeVerdict,
     SymmetricPairing,
+    _ratio_text,
     check_int,
     format_rational,
     hodge_check,
@@ -72,6 +73,20 @@ def test_rational_round_trip_random():
     for _ in range(1000):
         q = F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
         assert parse_rational(format_rational(q)) == q
+
+
+def test_one_speller_equals_the_stdlib_text():
+    # str(Fraction(n, d)) is the canonical text, an oracle independent of the
+    # one speller: zero, negatives, d dividing n and values of a few hundred digits
+    rng = random.Random(20261020)
+    pairs = [(0, 1), (0, 7), (-6, 3), (12, 4), (5, 1), (-5, 1), (-3, 9), (10**300, 10**299)]
+    for _ in range(2000):
+        digits = rng.choice((1, 3, 9, 40, 300))
+        d = rng.randint(1, 10**digits)
+        n = rng.randint(-(10**digits), 10**digits)
+        pairs += [(n, d), (n * d, d), (-abs(n) * rng.randint(1, 99), d)]
+    for n, d in pairs:
+        assert _ratio_text(n, d) == format_rational(Fraction(n, d)) == str(Fraction(n, d)), (n, d)
 
 
 def test_check_int():

@@ -589,10 +589,16 @@ def test_value_texts_match_value():
         functions[0][0].value_texts(-1)
 
 
+def _witness(num):
+    with pytest.raises(NotIntegral) as info:
+        to_hilbert_function(num)
+    return str(info.value), info.value.context
+
+
 def test_cusp_variants_equal_the_numerics_of_their_basket():
-    # ModelNumerics._with_cusps shifts a part's table and verdict by -1 per
-    # cusp; it must agree with the numerics built from the variant's basket,
-    # integral or not
+    # ModelNumerics._with_cusps shifts a part's table by -1 per cusp and keeps
+    # its verdict, if one is kept; it must agree with the numerics built from
+    # the variant's basket, integral or not, NotIntegral's witness included
     rng = random.Random(20261020)
     letters = [dihedral_zero(1), dihedral_zero(2), dihedral_half()] + [terminal_cyclic(n) for n in (2, 3, 4, 5, 6)]
     verdicts = set()
@@ -603,6 +609,8 @@ def test_cusp_variants_equal_the_numerics_of_their_basket():
         viewed = draw % 2 == 0
         if viewed:  # the part's Fraction view is built before the shift, and must not carry over
             assert len(hilbert_table(base).correction) == hilbert_table(base).period
+        if draw % 3 == 0:  # the part's verdict is kept before the shift, and carries over
+            integrality_check(base)
         for cusps in range(3):
             basket = Basket(part.profiles + (cusp(),) * cusps)
             shifted = base._with_cusps(basket, cusps)
@@ -612,6 +620,8 @@ def test_cusp_variants_equal_the_numerics_of_their_basket():
             assert hilbert_table(shifted) == hilbert_table(fresh)
             assert hilbert_table(shifted).extrapolated == hilbert_table(fresh).extrapolated
             assert shifted._verdict == fresh._verdict
+            if shifted._verdict is not None:
+                assert _witness(shifted) == _witness(fresh)
             if viewed:
                 assert hilbert_table(shifted).correction == hilbert_table(fresh).correction
             verdicts.add(integrality_check(shifted))
