@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import serialization as ser
 from .bounds import (
@@ -23,17 +22,14 @@ from .bounds import (
     enumerate_hilbert,
     kx2_bounds,
 )
-from .constructions import (
-    AbelianCoverInput,
-    ConstructionReport,
-    RuledCoverInput,
-    abelian_double_cover,
-    ruled_double_cover,
-)
 from .errors import DocumentError, FolcanError, InvalidInput, JsonParseError
 from .exact_core import check_int, check_limit, format_rational, parse_rational
 from .riemann_roch import hilbert_table, integrality_check
-from .surface_model import ResolutionData, _pair_pullbacks, mumford_pullback
+
+# surface_model, constructions and csv are imported by the handlers that use them, so
+# enumerate and bounds never load them (about 10% off their wall time as a process on a 2-core VM)
+if TYPE_CHECKING:
+    from .constructions import ConstructionReport
 
 
 # the largest ``hilbert --mmax``: one row per m (0.7 s at the limit on a 2-core VM)
@@ -163,6 +159,8 @@ def _cell(value) -> str:
 
 
 def _csv_text(rows: Sequence[Sequence]) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(map(_cell, row) for row in rows)
@@ -197,6 +195,8 @@ def _parse_class(model, resolution, text: str):
 
 
 def _cmd_intersect(args) -> str:
+    from .surface_model import ResolutionData, _pair_pullbacks, mumford_pullback
+
     model, resolution = ser.model_from_json(_load_json(args.model))
     if resolution is None:
         resolution = ResolutionData(ambient=model, exceptional_indices=())
@@ -278,6 +278,8 @@ def _flat_report(report: ConstructionReport) -> dict:
 
 
 def _build_example(params: dict) -> ConstructionReport:
+    from .constructions import AbelianCoverInput, RuledCoverInput, abelian_double_cover, ruled_double_cover
+
     if params["family"] == "ruled":
         return ruled_double_cover(RuledCoverInput(k=params["k"], g=params["g"], q=params["q"]))
     return abelian_double_cover(AbelianCoverInput(d=params["d"], n=params["n"]))
@@ -310,13 +312,15 @@ def _error_payload(code: str, message: str, context: dict) -> str:
 def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     """Run ``folcan`` on ``argv``, writing to ``stdout`` and ``stderr`` (default: the process's); return the exit status.
 
-    0 on success; 1 for an unreadable or malformed document, a
+    0 on success; 1 for an unreadable or malformed document, an ``io_error``
+    for a path ``open`` refuses (a NUL byte in it among them) or a
     ``json_parse_error`` when it is not UTF-8, not JSON, nested past the
     recursion limit or holds an integer past ``sys.get_int_max_str_digits()``;
     2 for invalid mathematics, a request above a size limit (:data:`MAX_MMAX`,
     :data:`MAX_SWEEP`, ``bounds.MAX_BASKETS``, ``bounds.MAX_CHI``,
-    ``riemann_roch.MAX_PERIOD``, or a result integer past the int-string
-    limit: ``invalid_input`` with ``limit`` in its context) or a usage error,
+    ``riemann_roch.MAX_PERIOD``, ``surface_model.MAX_EXCEPTIONAL_RANK``, or a
+    result integer past the int-string limit: ``invalid_input`` with ``limit``
+    in its context) or a usage error,
     a non-canonical rational or integer flag among them. An error is one
     JSON object ``{"error": {"code", "message", "context"}}`` on ``stderr``;
     argparse writes usage and errors to ``stderr``, ``--help`` to ``stdout``. A failed run writes
@@ -339,12 +343,15 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
                 handle.write(text)
     except OSError as exc:
         error = 1, "io_error", str(exc), {}
-    except ValueError as exc:  # str() of a result integer past the interpreter's int-string limit
-        if "integer string conversion" not in str(exc):
+    except ValueError as exc:
+        if str(exc) == "embedded null byte":  # a path open refuses before the OS sees it
+            error = 1, "io_error", str(exc), {}
+        elif "integer string conversion" in str(exc):  # str() of a result integer past the int-string limit
+            limit = sys.get_int_max_str_digits()
+            message = f"a result integer has more digits than the int-string limit of {limit}"
+            error = 2, "invalid_input", message, {"limit": limit}
+        else:
             raise
-        limit = sys.get_int_max_str_digits()
-        message = f"a result integer has more digits than the int-string limit of {limit}"
-        error = 2, "invalid_input", message, {"limit": limit}
     except FolcanError as exc:
         error = 1 if isinstance(exc, DocumentError) else 2, exc.code, str(exc), exc.context
     else:

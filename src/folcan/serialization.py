@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .baskets import (
     Basket,
@@ -23,7 +23,9 @@ from .bounds import EnumeratedFunction
 from .errors import DocumentError
 from .exact_core import SymmetricPairing, Vector, format_rational, parse_rational
 from .riemann_roch import HilbertFunction, ModelNumerics, window_length
-from .surface_model import ResolutionData, SurfaceModel
+
+if TYPE_CHECKING:  # model_from_json imports them, so reading numerics never loads surface_model
+    from .surface_model import ResolutionData, SurfaceModel
 
 
 def _document(value):
@@ -246,6 +248,8 @@ def model_to_json(model: SurfaceModel, resolution: Optional[ResolutionData] = No
 
 
 def model_from_json(data) -> tuple[SurfaceModel, Optional[ResolutionData]]:
+    from .surface_model import ResolutionData, SurfaceModel
+
     labels = _require(data, "basis_labels")
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
         raise DocumentError("basis_labels must be a list of strings")

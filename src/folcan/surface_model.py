@@ -18,6 +18,7 @@ from .exact_core import (
     Vector,
     _integer_form,
     check_int,
+    check_limit,
     signature,
     solve_linear,
     vector,
@@ -90,12 +91,19 @@ class SurfaceModel:
         raise InvalidInput(f"unknown class label {label!r}", known=sorted(self.distinguished_classes))
 
 
+# the most exceptional curves one resolution may have: a dense Gram's factor is
+# O(n^3) big-int operations (2.2-3.1 s at the limit for a dense rank-160 Gram on a 2-core VM)
+MAX_EXCEPTIONAL_RANK = 160
+
+
 @dataclass(frozen=True)
 class ResolutionData:
     """A smooth ambient model plus the basis positions of a resolution's exceptional curves; frozen.
 
-    Positions must be distinct ints in range (else :class:`InvalidInput`)
-    and their Gram negative definite (else :class:`NotNegativeDefinite`).
+    Positions must be distinct ints in range, at most
+    :data:`MAX_EXCEPTIONAL_RANK` of them (else :class:`InvalidInput`, above
+    the limit with ``exceptional_rank`` and ``limit`` in its context, before
+    the factor), and their Gram negative definite (else :class:`NotNegativeDefinite`).
     ``strict_transforms`` names downstairs divisors by their strict
     transforms. Construction is O(n^2) to read the Gram plus its factor:
     O(n) on a (-2)-chain, O(n^3) dense; every pullback reuses the factor.
@@ -107,6 +115,7 @@ class ResolutionData:
 
     def __post_init__(self):
         indices = tuple(check_int(i, "exceptional position", None) for i in self.exceptional_indices)
+        check_limit(len(indices), MAX_EXCEPTIONAL_RANK, "exceptional_rank", "the exceptional rank {} is")
         if len(set(indices)) != len(indices):
             raise InvalidInput("exceptional positions must be distinct", indices=indices)
         for i in indices:

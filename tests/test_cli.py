@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import folcan.cli
+import folcan.constructions
 import folcan.surface_model
 from folcan.cli import run
 from folcan.surface_model import mumford_pullback
@@ -385,6 +386,37 @@ def test_out_is_written_only_after_the_handler_returns(tmp_path):
         assert not target.exists()
 
 
+@pytest.mark.parametrize("flag", ["--numerics", "--model", "--out"])
+def test_a_nul_byte_in_a_path_is_an_io_error(flag, model_file, numerics_file, tmp_path):
+    # open refuses the path with a ValueError before the OS sees it; no --out file is made
+    bad = str(tmp_path / "a\0b")
+    argv = {
+        "--numerics": ["hilbert", "--numerics", bad, "--mmax", "1"],
+        "--model": ["intersect", "--model", bad, "--left", "D", "--right", "D"],
+        "--out": ["--out", bad, "bounds", "--k1", "8", "--k2", "8", "--s", "1"],
+    }[flag]
+    status, out, err = invoke(argv)
+    assert (status, out) == (1, "")
+    assert json.loads(err)["error"] == {"code": "io_error", "message": "embedded null byte", "context": {}}
+    assert sorted(os.listdir(tmp_path)) == ["model.json", "numerics.json"]
+
+
+def test_intersect_refuses_a_model_past_the_exceptional_rank_limit(tmp_path):
+    n = folcan.surface_model.MAX_EXCEPTIONAL_RANK + 1
+    doc = {
+        "basis_labels": [f"c{i}" for i in range(n)],
+        "pairing": [["-2" if i == j else str(int(abs(i - j) == 1)) for j in range(n)] for i in range(n)],
+        "resolution": {"exceptional_indices": list(range(n))},
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    status, out, err = invoke(["intersect", "--model", str(path), "--left", "c0", "--right", "c0"])
+    assert (status, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_input"
+    assert error["context"] == {"exceptional_rank": n, "limit": n - 1}
+
+
 def test_byte_determinism(model_file, numerics_file):
     for argv in (
         ["intersect", "--model", model_file, "--left", "D", "--right", "D"],
@@ -398,14 +430,14 @@ def test_byte_determinism(model_file, numerics_file):
 
 @pytest.mark.parametrize("output_format", ["json", "csv"])
 def test_intersect_solves_each_pullback_once(model_file, monkeypatch, output_format):
-    # both names are wrapped, so pullbacks solved inside weil_intersect count too
+    # the handler reads surface_model's name when it runs, so this one patch counts
+    # its calls and any solved inside weil_intersect
     calls = []
 
     def counting_pullback(resolution, strict):
         calls.append(strict)
         return mumford_pullback(resolution, strict)
 
-    monkeypatch.setattr(folcan.cli, "mumford_pullback", counting_pullback)
     monkeypatch.setattr(folcan.surface_model, "mumford_pullback", counting_pullback)
     status, _, err = invoke(["--format", output_format, "intersect", "--model", model_file, "--left", "D",
                              "--right", "0,1"])
@@ -530,8 +562,8 @@ def test_example_sweep_limit_returns_at_once(monkeypatch):
     assert folcan.cli.MAX_SWEEP == 10_000
     status, out, _ = invoke(["example", "ruled", "--k", "2", "--g", "2", "--q", "0", "--sweep", "q=5..9"])
     assert status == 0 and len(json.loads(out)) == 5
-    monkeypatch.setattr(folcan.cli, "ruled_double_cover", never)
-    monkeypatch.setattr(folcan.cli, "abelian_double_cover", never)
+    monkeypatch.setattr(folcan.constructions, "ruled_double_cover", never)
+    monkeypatch.setattr(folcan.constructions, "abelian_double_cover", never)
     for argv, length, limit in (
         (["example", "ruled", "--k", "2", "--g", "2", "--q", "0", "--sweep", "q=0..100000000"], 100000001, 10_000),
         (["example", "ruled", "--k", "2", "--g", "2", "--q", "0", "--sweep", "q=5..9"], 5, 4),

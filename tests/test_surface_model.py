@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import folcan.surface_model
 from folcan.errors import DimensionMismatch, InvalidInput, NotNegativeDefinite
 from folcan.exact_core import SymmetricPairing
 from folcan.surface_model import (
@@ -74,6 +75,33 @@ def test_resolution_rejects_non_integer_positions():
             ResolutionData(good, (bad,))
     with pytest.raises(InvalidInput, match="exceptional position -1 outside lattice of rank 2"):
         ResolutionData(good, (-1,))
+
+
+def chain(n):
+    # a (-2)-chain of n curves, all of them exceptional
+    return model([[-2 if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)])
+
+
+def test_exceptional_rank_limit_admits_long_chains():
+    assert folcan.surface_model.MAX_EXCEPTIONAL_RANK == 160
+    assert ResolutionData(chain(128), tuple(range(128))).exceptional_gram.dimension == 128
+    with pytest.raises(InvalidInput) as info:
+        ResolutionData(chain(161), tuple(range(161)))
+    assert str(info.value) == "the exceptional rank 161 is above the limit of 160"
+    assert info.value.context == {"exceptional_rank": 161, "limit": 160}
+
+
+def test_exceptional_rank_limit_refuses_before_the_factor(monkeypatch):
+    def never(res):
+        raise AssertionError("a refused resolution was factored")
+
+    monkeypatch.setattr(folcan.surface_model, "MAX_EXCEPTIONAL_RANK", 3)
+    assert ResolutionData(chain(3), (0, 1, 2)).exceptional_indices == (0, 1, 2)
+    monkeypatch.setattr(folcan.surface_model, "validate_resolution", never)
+    for indices in ((0, 1, 2, 3), (0, 1, 2, 3, 4)):
+        with pytest.raises(InvalidInput) as info:
+            ResolutionData(chain(5), indices)
+        assert info.value.context == {"exceptional_rank": len(indices), "limit": 3}
 
 
 def test_pullback_single_curve():
