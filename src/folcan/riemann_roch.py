@@ -7,12 +7,13 @@ P(0) = chi). The integer form of a :class:`HilbertFunction` is private here.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
-from .baskets import Basket, LocalProfile, basket_term, basket_uses_extrapolation, q_index
+from .baskets import Basket, LocalProfile, basket_term, q_index, uses_extrapolation
 from .errors import InvalidInput, NotIntegral
 from .exact_core import _integer_form, _ratio_text, as_rational, check_int, check_limit, format_rational, vector
 
@@ -22,7 +23,9 @@ class ModelNumerics:
 
     k1, k2 (and kx2) are rationals, chi an int and ``basket`` a
     :class:`Basket`; ``general_type``, a bool, asserts k1 > 0. A violation
-    raises :class:`InvalidInput` (a float :class:`TypeError`).
+    raises :class:`InvalidInput` (a float :class:`TypeError`). Its one table
+    is built on first use in one pass over the basket's kinds of point (equal
+    profiles): O(points + T x distinct indices + override entries).
     """
 
     k1: Fraction
@@ -52,16 +55,23 @@ class ModelNumerics:
 
     @functools.cached_property
     def _table(self) -> HilbertFunction:
-        # hilbert_table's one table, built once, after the period limit; the
-        # corrections are summed as integers over the letters' common den
-        period = check_period(q_index(self.basket))
-        tables = [p.term_numerators for p in self.basket.profiles]
-        den = math.lcm(*(d for d, _ in tables))
-        rows = ([den // d * x for x in t] * (period // len(t)) for d, t in tables)
-        raw = tuple(map(sum, zip([0] * period, *rows)))  # den times each correction
+        # hilbert_table's one table, in one pass over the basket's kinds of point:
+        # the period limit is checked as the lcm of their indices grows, each
+        # kind's row is read once and scaled by its count, and the rows of one
+        # length (an index) are summed there and expanded to T once
+        period, kinds, rows = 1, [], {}
+        for _, group in itertools.groupby(self.basket.profiles, lambda p: p.sort_key):
+            point, *equal = group  # equal profiles sit together in canonical order
+            period = check_period(math.lcm(period, point.local_index or 1))
+            kinds.append((point, 1 + len(equal), point.term_numerators))  # an O(index) row, read after the check
+        den = math.lcm(*(d for _, _, (d, _) in kinds))
+        for _, count, (d, t) in kinds:
+            scale, row = den // d * count, rows.get(len(t))
+            rows[len(t)] = [scale * x for x in t] if row is None else [y + scale * x for y, x in zip(row, t)]
+        raw = tuple(map(sum, zip([0] * period, *(row * (period // len(row)) for row in rows.values()))))
         # every index n divides T, and residue 2 lies outside {0, 1, n - 1} exactly
         # when some residue does (n >= 4), so m = 2 decides the flag for m in [1, T]
-        flagged = basket_uses_extrapolation(self.basket, 2)
+        flagged = any(uses_extrapolation(p, 2) for p, _, _ in kinds)
         return HilbertFunction._from_integers(self.k1, self.k2, self.chi, raw, den, flagged)
 
     def _with_cusps(self, basket: Basket, cusps: int) -> ModelNumerics:
@@ -112,8 +122,8 @@ def check_period(period: int) -> int:
 
 
 def integrality_window(num: ModelNumerics) -> int:
-    """:func:`window_length` at the basket period T; T above :data:`MAX_PERIOD` raises :class:`InvalidInput`."""
-    return window_length(check_period(q_index(num.basket)), num.k1, num.k2)
+    """:func:`window_length` at the period T of :func:`hilbert_table`'s table, with its cost and its period refusal."""
+    return window_length(num._table.period, num.k1, num.k2)
 
 
 def _quadratic_numerators(k1: Fraction, k2: Fraction, *denominators: int) -> tuple[int, int, int]:
@@ -280,9 +290,12 @@ def canonical_order(functions: Collection[HilbertFunction]) -> list[HilbertFunct
 def hilbert_table(num: ModelNumerics) -> HilbertFunction:
     """The table of ``num``, integral or not, over the basket period T; one object per numerics.
 
-    Residue r holds ``basket_term(num.basket, r or T)``, cusps included. T
-    above :data:`MAX_PERIOD` raises :class:`InvalidInput` before any table
-    is built; O(T) on the first call.
+    Residue r holds ``basket_term(num.basket, r or T)``, cusps included.
+    T, the lcm of the indices, is checked kind by kind as it grows: past
+    :data:`MAX_PERIOD` it raises :class:`InvalidInput`, that running lcm in
+    its context, before any period-long row or the basket's exact lcm is
+    built. O(points + T x distinct indices + override entries) on the first
+    call: each kind's row is read once and scaled by its count.
     """
     return num._table
 

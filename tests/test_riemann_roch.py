@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -31,7 +32,8 @@ from folcan.riemann_roch import (
     to_hilbert_function,
     window_length,
 )
-from folcan.serialization import enumerated_function_to_json, value_window
+from folcan.serialization import enumerated_function_to_json, numerics_from_json, value_window
+from test_cli import invoke, time_limit
 
 
 def F(num, den=1):
@@ -194,16 +196,17 @@ def test_hilbert_table_is_built_once():
 
 
 def test_integrality_is_decided_once_per_numerics(monkeypatch):
-    # two checks and a compression read one scan: q_index runs once, for the
-    # table, and a NotIntegral witness comes from the same verdict
+    # two checks and a compression read one scan: the table is built once (its
+    # pass checks the period once per kind of point, and T2x2 has one kind),
+    # and a NotIntegral witness comes from the same verdict
     calls = []
-    original = folcan.riemann_roch.q_index
+    original = folcan.riemann_roch.check_period
 
-    def counting(basket):
-        calls.append(basket)
-        return original(basket)
+    def counting(period):
+        calls.append(period)
+        return original(period)
 
-    monkeypatch.setattr(folcan.riemann_roch, "q_index", counting)
+    monkeypatch.setattr(folcan.riemann_roch, "check_period", counting)
     for k1, integral in ((F(1), True), (F(1, 2), False)):
         calls.clear()
         num = ModelNumerics(k1=k1, k2=F(0), chi=1, basket=T2x2)
@@ -639,3 +642,101 @@ def test_chi_copies_differ_only_in_chi():
         assert dataclasses.astuple(copy) == dataclasses.astuple(public) and copy == public
         assert copy.correction is h.correction and copy._integer_form is form
         assert copy.value_texts(12) == public.value_texts(12)
+
+
+def _kinds_basket(rng):
+    """A seeded basket of repeated points, several overrides of one index and mixed indices, shuffled."""
+    n = rng.randint(2, 6)
+    overrides = [
+        terminal_cyclic(n, [F(0)] + [F(-rng.randint(0, 5), rng.randint(1, 6)) for _ in range(n - 1)])
+        for _ in range(rng.randint(2, 3))
+    ]
+    points = []
+    for profile in overrides + [_random_profile(rng) for _ in range(rng.randint(1, 3))]:
+        points += [profile] * rng.randint(1, 3)
+        if rng.random() < 0.5:  # an equal point built anew, so a kind is not one object
+            points.append(dataclasses.replace(profile))
+    rng.shuffle(points)
+    return Basket(tuple(points))
+
+
+def test_the_kinds_pass_matches_the_per_point_reference():
+    # ModelNumerics._table sums each kind of point once, scaled by its count,
+    # and expands each index's rows to T once; hilbert_value sums every point's
+    # local_term in Fractions, and the flag's definition scans [1, T]
+    rng = random.Random(3101)
+    seen = dict.fromkeys(("repeated", "equal objects", "overrides of one index", "mixed indices", "flagged"), 0)
+    for _ in range(150):
+        basket = _kinds_basket(rng)
+        k1, k2 = F(rng.randint(-4, 4), rng.choice((1, 2, 3))), F(rng.randint(-4, 4), rng.choice((1, 2)))
+        num = ModelNumerics(k1=k1, k2=k2, chi=rng.randint(-2, 2), basket=basket)
+        table, period = hilbert_table(num), q_index(basket)
+        assert table.period == period
+        span = range(2 * period + 1)
+        assert [table.value(m) for m in span] == [hilbert_value(num, m) for m in span], basket
+        flagged = any(basket_uses_extrapolation(basket, m) for m in range(1, period + 1))
+        assert table.extrapolated == flagged, basket
+        points = basket.profiles
+        seen["repeated"] += len(set(points)) < len(points)
+        seen["equal objects"] += len(set(map(id, points))) > len(set(points))
+        seen["overrides of one index"] += len({p.override for p in points if p.override is not None}) > 1
+        seen["mixed indices"] += len({p.local_index for p in points}) > 2
+        seen["flagged"] += flagged
+    assert min(seen.values()) >= 20, seen
+
+
+def test_the_period_limit_refuses_the_first_lcm_past_it(monkeypatch):
+    # the running lcm of the kinds' indices is checked kind by kind: 2, 6, 30,
+    # then 210 is refused, not the basket's 2310, and no later row is read
+    monkeypatch.setattr(folcan.riemann_roch, "MAX_PERIOD", 40)
+    basket = Basket.of(*map(terminal_cyclic, (11, 7, 5, 3, 2)))
+    for call in (hilbert_table, integrality_window, integrality_check, to_hilbert_function):
+        with pytest.raises(InvalidInput) as info:
+            call(ModelNumerics(k1=F(1), k2=F(0), chi=0, basket=basket))
+        assert info.value.context == {"period": 210, "limit": 40}
+    assert [p.local_index for p in basket.profiles if "term_numerators" in vars(p)] == [2, 3, 5]
+
+
+def _primes(count):
+    """The first ``count`` primes, by a sieve."""
+    bound = 200_000
+    composite = bytearray(bound)
+    primes = []
+    for p in range(2, bound):
+        if not composite[p]:
+            primes.append(p)
+            composite[p * p :: p] = b"\x01" * len(range(p * p, bound, p))
+    return primes[:count]
+
+
+def test_documents_that_repeat_points_are_bounded_by_the_period(tmp_path):
+    # a table costs O(points + T x distinct indices + override entries), and
+    # the period limit refuses as the lcm of the indices grows: 200 copies of
+    # one point (8 KB) and 3,000 distinct index-2 overrides beside an index
+    # 49,999 point (197 KB) are admitted at once; 15,000 distinct prime
+    # indices (604 KB) are refused at 2 x 3 x ... x 17 = 510,510, before the
+    # basket's exact lcm, a 70,961-digit int, is built
+    def point(n, **fields):
+        return {"kind": "TerminalCyclic", "n": n, **fields}
+
+    baskets = {
+        "repeated": [point(99991)] * 200,
+        "overrides": [point(2, override=["0", str(-F(1, k))]) for k in range(1, 3001)] + [point(49999)],
+        "primes": [point(p) for p in _primes(15000)],
+    }
+    paths = {}
+    for name, basket in baskets.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"k1": "1", "k2": "0", "chi": 1, "basket": basket}))
+    assert [paths[name].stat().st_size // 1000 for name in baskets] == [8, 196, 604]
+    for name, seconds in (("repeated", 5), ("overrides", 15)):
+        with time_limit(seconds):
+            status, out, err = invoke(["hilbert", "--numerics", str(paths[name]), "--mmax", "12"])
+        assert status == 0 and err == "", err
+        num = numerics_from_json(json.loads(paths[name].read_text()))
+        assert json.loads(out)["values"] == [[m, format_rational(hilbert_value(num, m))] for m in range(13)]
+    with time_limit(5):
+        status, out, err = invoke(["hilbert", "--numerics", str(paths["primes"]), "--mmax", "12"])
+    assert status == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["code"] == "invalid_input" and error["context"] == {"period": 510510, "limit": 100000}
