@@ -9,11 +9,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
-from .baskets import Basket, LocalProfile, basket_term, q_index, uses_extrapolation
+from .baskets import Basket, LocalProfile, basket_term, uses_extrapolation
 from .errors import InvalidInput, NotIntegral
 from .exact_core import _integer_form, _ratio_text, as_rational, check_int, check_limit, format_rational, vector
 
@@ -49,9 +50,16 @@ class ModelNumerics:
             raise InvalidInput("general_type flag set but k1 <= 0", k1=str(self.k1))
 
     def denominators_consistent(self) -> bool:
-        """Whether s^2 k1 and s k2 are integers for s the basket index, as on any model; advisory only."""
-        s = q_index(self.basket)
-        return (self.k1 * s * s).denominator == 1 and (self.k2 * s).denominator == 1
+        """Whether s^2 k1 and s k2 are integers for s the basket index, as on any model; advisory only.
+
+        O(points) small gcds; s itself, which no period limit bounds, is never
+        built. With d = lcm(den k1, den k2) and g = gcd(s, d), the lcm of
+        gcd(n, d) over the points' indices n, den k1 divides s^2 exactly when
+        it divides g^2, and den k2 divides s exactly when it divides g.
+        """
+        d = math.lcm(self.k1.denominator, self.k2.denominator)
+        g = math.lcm(*[math.gcd(p.local_index or 1, d) for p in self.basket.profiles])
+        return (self.k1 * g * g).denominator == 1 and (self.k2 * g).denominator == 1
 
     @functools.cached_property
     def _table(self) -> HilbertFunction:
@@ -189,10 +197,17 @@ class HilbertFunction:
         """The function with corrections raw[r] / den, for arguments already checked."""
         lowest = den // math.gcd(den, *raw)  # the corrections' own common denominator
         lcd, a, b = _quadratic_numerators(k1, k2, lowest)
-        c = tuple(x // (den // lowest) * (lcd // lowest) for x in raw)
+        # raw over lcd in one pass, a step skipped when its factor is 1 and raw kept when both are
+        shrink, grow = den // lowest, lcd // lowest
+        if shrink != 1 and grow != 1:
+            raw = tuple(x // shrink * grow for x in raw)
+        elif shrink != 1:
+            raw = tuple(map(operator.floordiv, raw, itertools.repeat(shrink)))
+        elif grow != 1:
+            raw = tuple(map(operator.mul, raw, itertools.repeat(grow)))
         func = object.__new__(cls)
         func.__dict__.update(
-            k1=k1, k2=k2, chi=chi, period=len(raw), extrapolated=extrapolated, _integer_form=(lcd, a, b, c))
+            k1=k1, k2=k2, chi=chi, period=len(raw), extrapolated=extrapolated, _integer_form=(lcd, a, b, raw))
         return func
 
     @functools.cached_property

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -70,6 +72,32 @@ def test_denominators_consistent():
     bad = ModelNumerics(k1=F(1, 3), k2=F(0), chi=1, basket=T2x2)
     assert not bad.denominators_consistent()
     assert ModelNumerics(k1=F(2), k2=F(-1), chi=0).denominators_consistent()
+
+
+def test_denominators_consistent_matches_its_q_index_definition():
+    # the gcd form against s^2 k1 and s k2 for s = q_index, the exact lcm
+    rng = random.Random(3201)
+    points = [cusp, dihedral_half, lambda: dihedral_zero(rng.randint(1, 2)), lambda: terminal_cyclic(rng.randint(2, 12))]
+    dens = (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 25, 27, 36, 49, 64)
+    verdicts = []
+    for _ in range(400):
+        basket = Basket.of(*(rng.choice(points)() for _ in range(rng.randint(0, 6))))
+        k1, k2 = F(rng.randint(-9, 9), rng.choice(dens)), F(rng.randint(-9, 9), rng.choice(dens))
+        s = q_index(basket)
+        expected = (k1 * s * s).denominator == 1 and (k2 * s).denominator == 1
+        assert ModelNumerics(k1=k1, k2=k2, chi=0, basket=basket).denominators_consistent() is expected
+        verdicts.append(expected)
+    assert 40 < sum(verdicts) < 360
+
+
+def test_denominators_consistent_on_15000_primes_answers_at_once():
+    # q_index of this basket is a 70,961-digit lcm; the gcd form never builds it
+    basket = Basket.of(*(terminal_cyclic(p) for p in _primes(15000)))
+    for k1, k2, expected in ((F(1, 4), F(1, 2), True), (F(1, 2**40), F(0), False), (F(1, 9), F(1, 3), True)):
+        num = ModelNumerics(k1=k1, k2=k2, chi=1, basket=basket)
+        start = time.perf_counter()
+        assert num.denominators_consistent() is expected
+        assert time.perf_counter() - start < 0.1
 
 
 def test_value_at_zero_is_chi():
@@ -298,6 +326,26 @@ def test_from_integers_equals_the_public_constructor():
             assert hash(h) == hash(public)
             assert h.value_texts(30) == public.value_texts(30)
             assert dumps(hilbert_function_to_json(h)) == dumps(hilbert_function_to_json(public))
+
+
+def test_from_integers_rebuilds_only_by_the_factors_that_are_not_one():
+    # c[r] / D = raw[r] / den with D the least denominator of the corrections
+    # and of k1 / 2 and k2 / 2; each case puts den // lowest and D // lowest at
+    # 1 or not, and raw itself is kept when both are 1
+    cases = {
+        (True, True): (F(1), F(0), (0, -3, -4), 2),
+        (False, True): (F(1), F(0), (0, -6, -4), 4),
+        (True, False): (F(1, 3), F(0), (0, -1), 2),
+        (False, False): (F(1, 3), F(0), (0, -2, 4), 4),
+    }
+    for (shrink_is_one, grow_is_one), (k1, k2, raw, den) in cases.items():
+        h = HilbertFunction._from_integers(k1, k2, 0, raw, den, False)
+        lcd, a, b, c = h._integer_form
+        lowest = den // math.gcd(den, *raw)
+        assert (den == lowest, lcd == lowest) == (shrink_is_one, grow_is_one)
+        assert [F(x, lcd) for x in c] == [F(x, den) for x in raw] and type(c) is tuple
+        assert (2 * a, 2 * b) == (k1 * lcd, k2 * lcd) and lcd == math.lcm(2 * k1.denominator, 2 * k2.denominator, lowest)
+        assert (c is raw) == (shrink_is_one and grow_is_one)
 
 
 def test_equality_across_periods():
