@@ -286,10 +286,56 @@ class SymmetricPairing:
         With N the int rows (A times :attr:`_scale`) and Q the product of the
         shears in order, Q^T N Q = U^T diag(1 / (p_{t-1} p_t)) U, where U has
         one row per pivot t: the minor p_t at column ``order[t]`` and
-        ``rows[t]`` elsewhere. Each row update is one pass over the row and
-        the pivot row, with exact divisions and zeros dropped. After the
-        O(n^2) :attr:`nonzeros`, O(n) on a tridiagonal form such as a
-        (-2)-chain and O(n^3) int operations dense.
+        ``rows[t]`` elsewhere. A form whose leading minors are all nonzero
+        (every definite one) is factored in order over its upper triangle:
+        each row holds its columns from the diagonal on, read from the int
+        rows, so each Schur-complement entry is computed once, about half the
+        entry updates of a full pass on a dense form. On a vanishing leading
+        minor the form is factored again from the start by the general
+        elimination (:meth:`_eliminate`). Either way O(n) on a tridiagonal
+        form such as a (-2)-chain and O(n^3) int operations dense.
+        """
+        numerators = self._numerators
+        n = len(numerators)
+        # row i from its diagonal on, zeros left out
+        rows = [dict(compress(enumerate(row[i:], i), row[i:])) for i, row in enumerate(numerators)]
+        seen = [0] * n  # the number of pivots each row has been brought past
+        minors = [1]
+        for t, pivot in enumerate(rows):
+            q, s = minors[t], seen[t]
+            if s != t:
+                r = minors[s]
+                pivot = rows[t] = {m: a * q // r for m, a in pivot.items()}
+            p = pivot.pop(t, 0)
+            if not p:
+                return self._eliminate()
+            get = pivot.get
+            for l, b in pivot.items():
+                # row l, brought past s = seen[l] pivots, becomes (p_{t+1} row_l - c row_t) / p_s
+                # over its columns m >= l; c, its entry at column t, is pivot[l] brought back to stage s
+                row = rows[l]
+                d = minors[seen[l]]
+                c = b * d // q
+                new = {m: x for m, a in row.items() if (x := (p * a - c * get(m, 0)) // d)}
+                # a row with every column from l on takes no fill-in; skipping its scan of the
+                # pivot: 13 chain_intersect Grams, restrict plus congruence 5.5-5.7 -> 5.0-5.2 ms
+                if len(row) < n - l:
+                    for m, a in pivot.items():
+                        if m >= l and m not in row:
+                            new[m] = -c * a // d
+                rows[l] = new
+                seen[l] = t + 1
+            minors.append(p)
+        return Factor(tuple(range(n)), tuple(tuple(row.items()) for row in rows), tuple(minors), (), ())
+
+    def _eliminate(self) -> Factor:
+        """:attr:`congruence` by the general elimination: any pending pivot, shears, a zero block.
+
+        The pivot is the first pending row with a nonzero diagonal, else a
+        shear makes one; each row holds all its pending columns. Each row
+        update is one pass over the row and the pivot row, with exact
+        divisions and zeros dropped. After the O(n^2) :attr:`nonzeros`, O(n)
+        on a tridiagonal form and O(n^3) int operations dense.
         """
         rows = list(map(dict, self.nonzeros))
         seen = [0] * len(rows)  # the number of pivots each row has been brought past

@@ -5,7 +5,9 @@ and Fractions without coercing them, ``solve_linear`` builds its Fractions
 in one map, and the factor updates each row in one pass. Each is checked
 here against the slow form it replaces: the refusals of the coercing path,
 :func:`vector`'s definition, the type of every solved entry, and a
-three-pass reference of the row update kept below.
+three-pass reference of the row update kept below. A form whose leading
+minors are all nonzero is factored over its upper triangle, and any other
+by the general elimination; both give the reference's factor.
 """
 
 import math
@@ -15,7 +17,8 @@ from fractions import Fraction
 import pytest
 
 from folcan.errors import InvalidInput
-from folcan.exact_core import Factor, SymmetricPairing, _integer_form, format_rational, solve_linear, vector
+from folcan.exact_core import Factor, SymmetricPairing, _integer_form, format_rational, signature, solve_linear, vector
+from test_basket_resolutions import basket_case
 from test_congruence_oracle import chain, congruent, dense_negative, random_forms
 
 F = Fraction
@@ -181,3 +184,87 @@ def test_the_one_pass_update_equals_the_three_pass_reference():
             sheared += bool(factor.shears)
             singular += bool(factor.zeros)
     assert sheared > 10 and singular > 10
+
+
+def strongly_regular(rng, n):
+    """L D L^T for a unit lower triangular integer L and a nonzero diagonal D of both signs.
+
+    Its k-th leading minor is d_1 ... d_k, so none vanishes, and it is indefinite when D's signs differ.
+    """
+    low = [[int(i == j) if j >= i else rng.randint(-2, 2) for j in range(n)] for i in range(n)]
+    d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
+    return [[sum(low[i][k] * d[k] * low[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def permuted(rng, rows):
+    order = rng.sample(range(len(rows)), len(rows))
+    return [[rows[i][j] for j in order] for i in order]
+
+
+def test_forms_with_nonzero_leading_minors_take_the_upper_pass(monkeypatch):
+    def general(self):
+        raise AssertionError("the general elimination was taken")
+
+    monkeypatch.setattr(SymmetricPairing, "_eliminate", general)
+    rng = random.Random(3301)
+    forms = {
+        "chain": [chain(rng.randint(1, 130)) for _ in range(6)] + [permuted(rng, chain(rng.randint(2, 40))) for _ in range(4)],
+        "dense": [dense_negative(rng, n) for n in (1, 8, 12, 16, 20, 24, 28)],
+        "indefinite": [strongly_regular(rng, n) for n in (2, 3, 5, 9, 14, 20) for _ in range(2)],
+        # a zero on the diagonal that its Schur complement fills: minors -2, -1, 4
+        "zero diagonal": [[[-2, 1, 0], [1, 0, 1], [0, 1, -2]]],
+    }
+    # each resolution factors its Gram when it is built, here with the general elimination refused
+    grams = [basket_case(rng, hub_first=draw % 2 == 0).res.exceptional_gram for draw in range(6)]
+    forms["basket"] = [gram.entries for gram in grams]
+    indefinite = 0
+    for kind, group in forms.items():
+        for rows in group:
+            pairing = SymmetricPairing.from_rows(rows)
+            factor = pairing.congruence
+            assert factor == three_pass_factor(pairing), kind
+            assert factor.order == tuple(range(len(rows))) and not factor.shears and not factor.zeros
+            positives, negatives, _ = signature(pairing)
+            indefinite += bool(positives and negatives)
+    assert indefinite > 5
+    for gram in grams:
+        assert gram.congruence == three_pass_factor(gram)
+
+
+def copy_of_the_first_last(rows):
+    """``rows`` with its last row and column replaced by its first: every leading minor but the last is unchanged."""
+    rows = [list(row) for row in rows]
+    rows[-1] = list(rows[0])
+    rows[-1][-1] = rows[0][0]
+    for j, a in enumerate(rows[-1]):
+        rows[j][-1] = a
+    return rows
+
+
+def test_a_vanishing_leading_minor_hands_over_to_the_general_elimination(monkeypatch):
+    calls = []
+    general = SymmetricPairing._eliminate
+
+    def counting(self):
+        calls.append(self)
+        return general(self)
+
+    monkeypatch.setattr(SymmetricPairing, "_eliminate", counting)
+    rng = random.Random(3302)
+    definite = dense_negative(rng, 12)
+    forms = [
+        [[0, 1], [1, 0]],
+        congruent(rng, 6, [-1, 2, 1]),
+        [[-2, 1, 1], [1, -2, 1], [1, 1, -2]],  # minors -2, 3, 0
+        copy_of_the_first_last(definite),
+    ]
+    for rows in forms:
+        pairing = SymmetricPairing.from_rows(rows)
+        factor = pairing.congruence
+        assert calls[-1] is pairing
+        assert factor == three_pass_factor(pairing)
+    assert len(calls) == len(forms)
+    # the copy fails only at its last minor, so both passes run in full
+    copied = calls[-1].congruence
+    assert copied.minors[:12] == SymmetricPairing.from_rows(definite).congruence.minors[:12]
+    assert copied.zeros == (11,)
