@@ -31,10 +31,8 @@ _EXPORTS = {
         "JsonParseError", "NegativeGenus", "NonIntegralGenus", "NonPositiveVolume", "NotIntegral",
         "NotNegativeDefinite", "SingularMatrix",
     ),
-    "exact_core": (
-        "HodgeVerdict", "SymmetricPairing", "format_rational", "hodge_check", "is_negative_definite",
-        "parse_rational", "signature", "solve_linear",
-    ),
+    "exact_core": ("format_rational", "parse_rational"),
+    "lattice": ("HodgeVerdict", "SymmetricPairing", "hodge_check", "is_negative_definite", "signature", "solve_linear"),
     "riemann_roch": (
         "HilbertFunction", "ModelNumerics", "hilbert_table", "hilbert_value", "integrality_check",
         "integrality_window", "second_difference_check", "to_hilbert_function",

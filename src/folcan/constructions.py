@@ -12,7 +12,8 @@ from typing import Mapping, NamedTuple, Optional
 
 from .baskets import Basket
 from .errors import InvalidInput, NegativeGenus, NonIntegralGenus
-from .exact_core import SymmetricPairing, as_rational, check_int, vec_add, vector
+from .exact_core import as_rational, check_int, vec_add, vector
+from .lattice import SymmetricPairing
 from .riemann_roch import ModelNumerics
 from .surface_model import SurfaceModel
 

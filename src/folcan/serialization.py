@@ -21,7 +21,7 @@ from .baskets import (
 )
 from .bounds import EnumeratedFunction
 from .errors import DocumentError
-from .exact_core import SymmetricPairing, Vector, format_rational, parse_rational
+from .exact_core import Vector, format_rational, parse_rational
 from .riemann_roch import HilbertFunction, ModelNumerics, window_length
 
 if TYPE_CHECKING:  # model_from_json imports them, so reading numerics never loads surface_model
@@ -248,6 +248,7 @@ def model_to_json(model: SurfaceModel, resolution: Optional[ResolutionData] = No
 
 
 def model_from_json(data) -> tuple[SurfaceModel, Optional[ResolutionData]]:
+    from .lattice import SymmetricPairing
     from .surface_model import ResolutionData, SurfaceModel
 
     labels = _require(data, "basis_labels")

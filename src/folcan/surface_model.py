@@ -14,16 +14,8 @@ from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, InvalidInput, NotNegativeDefinite
-from .exact_core import (
-    SymmetricPairing,
-    Vector,
-    _integer_form,
-    check_int,
-    check_limit,
-    signature,
-    solve_linear,
-    vector,
-)
+from .exact_core import Vector, _integer_form, check_int, check_limit, vector
+from .lattice import SymmetricPairing, signature, solve_linear
 
 
 @dataclass(frozen=True)

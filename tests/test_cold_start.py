@@ -78,7 +78,7 @@ def test_an_unknown_name_is_an_attribute_error():
 COLD_START = textwrap.dedent("""
     import io, json, sys
 
-    LAZY = ("folcan.surface_model", "folcan.constructions", "csv")
+    LAZY = ("folcan.lattice", "folcan.surface_model", "folcan.constructions", "csv")
 
     def loaded():
         return [name for name in LAZY if name in sys.modules]
@@ -95,6 +95,7 @@ COLD_START = textwrap.dedent("""
     report["cli"] = loaded()
     call("enumerate", "--k1", "1", "--k2", "1", "--s", "6", "--chi", "0", "--cap", "4", "--max-cusps", "2")
     call("bounds", "--k1", "8", "--k2", "8", "--s", "1", "--kx2", "3")
+    call("hilbert", "--numerics", sys.argv[2], "--mmax", "6")
     report["json"] = loaded()
     call("intersect", "--model", sys.argv[1], "--left", "D", "--right", "D")
     report["intersect"] = loaded()
@@ -113,14 +114,54 @@ def test_a_fresh_process_loads_only_the_modules_it_runs(tmp_path):
         "pairing": [["0", "1"], ["1", "-2"]],
         "resolution": {"exceptional_indices": [1], "strict_transforms": {"D": ["1", "0"]}},
     }))
+    numerics = tmp_path / "numerics.json"
+    numerics.write_text(json.dumps({
+        "k1": "1", "k2": "0", "chi": 1,
+        "basket": [{"kind": "TerminalCyclic", "n": 2}, {"kind": "TerminalCyclic", "n": 2}],
+    }))
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-c", COLD_START, str(model)], env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(model), str(numerics)], env=env, capture_output=True, text=True
+    )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {
         "package": [],
         "cli": [],
         "json": [],
-        "intersect": ["folcan.surface_model"],
-        "example": ["folcan.surface_model", "folcan.constructions"],
-        "csv": ["folcan.surface_model", "folcan.constructions", "csv"],
+        "intersect": ["folcan.lattice", "folcan.surface_model"],
+        "example": ["folcan.lattice", "folcan.surface_model", "folcan.constructions"],
+        "csv": ["folcan.lattice", "folcan.surface_model", "folcan.constructions", "csv"],
     }
+
+
+# the bilinear-form layer that moved from exact_core to lattice; exact_core still exports it
+MOVED = ("Factor", "HodgeVerdict", "SymmetricPairing", "hodge_check", "is_negative_definite", "signature", "solve_linear")
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_exact_core_still_exports_each_lattice_name(name):
+    exact_core, lattice = importlib.import_module("folcan.exact_core"), importlib.import_module("folcan.lattice")
+    home = getattr(lattice, name)
+    assert getattr(exact_core, name) is home
+    assert vars(exact_core)[name] is home  # kept: later reads skip the module's __getattr__
+    namespace: dict = {}
+    exec(f"from folcan.exact_core import {name}", namespace)
+    assert namespace[name] is home
+    assert name in dir(exact_core)
+
+
+def test_exact_core_lists_the_lattice_names_before_any_is_read():
+    script = "import sys, folcan.exact_core as ec; print(set(dir(ec)) >= set(sys.argv[1:]), 'folcan.lattice' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script, *MOVED], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False"]
+
+
+def test_exact_core_refuses_an_unknown_name():
+    exact_core = importlib.import_module("folcan.exact_core")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        exact_core.no_such_name
+    assert not hasattr(exact_core, "ModelNumerics")  # another module's name
+    with pytest.raises(ImportError):
+        exec("from folcan.exact_core import no_such_name", {})
