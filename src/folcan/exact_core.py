@@ -149,7 +149,9 @@ def _integer_form(values: Iterable) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (den // x.denominator) for x in values), den
 
 
-# the names of folcan.lattice read from here, imported on the first read
+# the names of folcan.lattice read from here, imported on the first read; kept
+# while the benchmark's tracer and per-layer metrics name exact_core.signature
+# and exact_core.solve_linear (ROADMAP item 1b retires it)
 _LATTICE = frozenset(
     ("Factor", "HodgeVerdict", "SymmetricPairing", "hodge_check", "is_negative_definite", "signature", "solve_linear")
 )

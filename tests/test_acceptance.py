@@ -24,7 +24,8 @@ from folcan.constructions import (
     fibration_identities,
     ruled_double_cover,
 )
-from folcan.exact_core import SymmetricPairing, hodge_check, parse_rational
+from folcan.exact_core import parse_rational
+from folcan.lattice import SymmetricPairing, hodge_check
 from folcan.riemann_roch import (
     ModelNumerics,
     hilbert_value,

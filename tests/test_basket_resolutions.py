@@ -32,7 +32,7 @@ from fractions import Fraction as F
 import pytest
 
 import folcan.surface_model
-from folcan.exact_core import SymmetricPairing, signature
+from folcan.lattice import SymmetricPairing, signature
 from folcan.surface_model import MAX_EXCEPTIONAL_RANK, ResolutionData, SurfaceModel, weil_intersect
 
 

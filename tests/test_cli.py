@@ -1,17 +1,12 @@
-import collections
 import contextlib
-import csv
-import enum
 import hashlib
 import io
 import json
 import os
 import pathlib
-import random
 import signal
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -19,7 +14,6 @@ import folcan.cli
 import folcan.constructions
 import folcan.surface_model
 from folcan.cli import run
-from folcan.exact_core import format_rational
 from folcan.surface_model import mumford_pullback
 
 
@@ -750,81 +744,3 @@ def test_enumerate_cap_zero_returns_at_once():
             status, out, err = invoke(prefix + argv)
         assert status == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-
-def _cell_reference(value) -> str:
-    # the isinstance chain that spelled every CSV cell before the exact-type dispatch
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, (list, tuple)):
-        return " ".join(map(_cell_reference, value))
-    return str(value)
-
-
-class _Half(Fraction):
-    def __str__(self):
-        return "half"
-
-
-class _Shout(str):
-    def __str__(self):
-        return self.upper()
-
-
-class _Count(int):
-    def __str__(self):
-        return f"#{int(self)}"
-
-
-class _Level(enum.IntEnum):
-    LOW = 1
-    HIGH = 2
-
-
-class _Row(list):
-    pass
-
-
-_Pair = collections.namedtuple("_Pair", "a b")
-
-
-def _random_cell(rng, depth=0):
-    """A bool, int, str, Fraction, subclass of one, other value, or (below depth 3) a list or tuple of cells."""
-    kind = rng.randrange(12 if depth < 3 else 9)
-    if kind == 0:
-        return rng.random() < 0.5
-    if kind == 1:
-        return rng.randint(-(2**70), 2**70)
-    if kind == 2:
-        return rng.choice(["", "true", "a,b", 'say "x"', "1/2", "\u00e9"])
-    if kind == 3:
-        return Fraction(rng.randint(-50, 50), rng.randint(1, 12))
-    if kind == 4:
-        return _Half(rng.randint(-5, 5), rng.randint(1, 4))
-    if kind == 5:
-        return _Shout(rng.choice(["k", "cusp"]))
-    if kind == 6:
-        return rng.choice([_Count(rng.randint(-3, 3)), _Level.LOW, _Level.HIGH])
-    if kind in (7, 8):
-        return rng.choice([None, 0.5, -0.0, object, frozenset()])
-    items = [_random_cell(rng, depth + 1) for _ in range(rng.randrange(4))]
-    if kind == 9:
-        return items
-    if kind == 10:
-        return tuple(items)
-    return rng.choice([_Row(items), _Pair(items[:1], tuple(items[1:]))])
-
-
-def test_cell_equals_the_isinstance_rule_on_every_kind_of_cell():
-    rng = random.Random(20240611)
-    cells = [_random_cell(rng) for _ in range(3000)]
-    cells += [True, False, 0, -1, "", Fraction(0), Fraction(-7), Fraction(-(2**70), 3), [], (), [[Fraction(1, 2)], (True,)]]
-    for cell in cells:
-        assert folcan.cli._cell(cell) == _cell_reference(cell), cell
-    rows = [[rng.choice(cells) for _ in range(3)] for _ in range(200)]
-    expected = io.StringIO()
-    csv.writer(expected, lineterminator="\n").writerows([map(_cell_reference, row) for row in rows])
-    assert folcan.cli._csv_text(rows) == expected.getvalue()

@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from folcan.errors import DimensionMismatch, InvalidInput, NotNegativeDefinite, SingularMatrix
-from folcan.exact_core import SymmetricPairing, signature, solve_linear
+from folcan.lattice import SymmetricPairing, signature, solve_linear
 from folcan.surface_model import ResolutionData, SurfaceModel, mumford_pullback, weil_intersect
 
 F = Fraction

@@ -4,21 +4,8 @@ from fractions import Fraction
 import pytest
 
 from folcan.errors import DimensionMismatch, InvalidInput, SingularMatrix
-from folcan.exact_core import (
-    HodgeVerdict,
-    SymmetricPairing,
-    _ratio_text,
-    check_int,
-    format_rational,
-    hodge_check,
-    is_negative_definite,
-    parse_rational,
-    signature,
-    solve_linear,
-    vec_add,
-    vec_scale,
-    vector,
-)
+from folcan.exact_core import _ratio_text, check_int, format_rational, parse_rational, vec_add, vec_scale, vector
+from folcan.lattice import HodgeVerdict, SymmetricPairing, hodge_check, is_negative_definite, signature, solve_linear
 
 
 def F(num, den=1):

@@ -20,7 +20,8 @@ from fractions import Fraction
 import pytest
 
 from folcan.errors import SingularMatrix
-from folcan.exact_core import SymmetricPairing, format_rational, solve_linear
+from folcan.exact_core import format_rational
+from folcan.lattice import SymmetricPairing, solve_linear
 from folcan.surface_model import ResolutionData, SurfaceModel, mumford_pullback, weil_intersect
 from test_congruence_oracle import chain
 

@@ -17,7 +17,8 @@ from fractions import Fraction
 import pytest
 
 from folcan.errors import InvalidInput
-from folcan.exact_core import Factor, SymmetricPairing, _integer_form, format_rational, signature, solve_linear, vector
+from folcan.exact_core import _integer_form, format_rational, vector
+from folcan.lattice import Factor, SymmetricPairing, signature, solve_linear
 from test_basket_resolutions import basket_case
 from test_congruence_oracle import chain, congruent, dense_negative, random_forms
 

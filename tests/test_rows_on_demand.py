@@ -11,7 +11,7 @@ import functools
 import random
 from fractions import Fraction
 
-from folcan.exact_core import SymmetricPairing
+from folcan.lattice import SymmetricPairing
 from folcan.surface_model import mumford_pullback, weil_intersect
 from test_congruence_oracle import a_chain_model, chain, random_forms, rational_dense_negative
 

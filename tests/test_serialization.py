@@ -6,7 +6,8 @@ import pytest
 
 from folcan.baskets import Basket, SingularityKind, cusp, dihedral_half, dihedral_zero, terminal_cyclic
 from folcan.errors import DocumentError, NotNegativeDefinite
-from folcan.exact_core import SymmetricPairing, format_rational
+from folcan.exact_core import format_rational
+from folcan.lattice import SymmetricPairing
 from folcan.riemann_roch import HilbertFunction, ModelNumerics, to_hilbert_function
 from folcan.serialization import (
     basket_from_json,

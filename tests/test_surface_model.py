@@ -5,7 +5,7 @@ import pytest
 
 import folcan.surface_model
 from folcan.errors import DimensionMismatch, InvalidInput, NotNegativeDefinite
-from folcan.exact_core import SymmetricPairing
+from folcan.lattice import SymmetricPairing
 from folcan.surface_model import (
     AmplitudeVerdict,
     ResolutionData,
