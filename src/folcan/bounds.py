@@ -174,7 +174,8 @@ class EnumeratedFunction:
 MAX_BASKETS = 1_000_000
 
 # every result is copied once per chi: --s 12 --cap 6 --max-cusps 2 over 100
-# chi values prints 13.0 MB of JSON in 0.28-0.34 s, 84 MB peak RSS (2-core VM)
+# chi values prints 13.0 MB of JSON in 0.20-0.24 s at 20 MB peak RSS, since the
+# document is written one entry at a time (to a file, 2-core VM)
 MAX_CHI = 100
 
 

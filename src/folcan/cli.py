@@ -13,7 +13,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import serialization as ser
 from .bounds import (
@@ -230,7 +230,7 @@ def _cmd_hilbert(args) -> str:
     return ser.dumps(payload)
 
 
-def _cmd_enumerate(args) -> str:
+def _cmd_enumerate(args) -> str | Iterator[str]:
     query = EnumerationQuery(
         k1=args.k1,
         k2=args.k2,
@@ -249,13 +249,12 @@ def _cmd_enumerate(args) -> str:
             h = entry.function
             rows.append([h.k1, h.k2, h.chi, h.period, h.correction_texts(), h.extrapolated, len(entry.witnesses)])
         return _csv_text(rows)
-    memo: dict = {}  # each function's chi-free texts, shared by its entries at every chi
     payload = {
         "count": len(found),
-        "functions": [ser.enumerated_function_to_json(entry, memo) for entry in found],
+        "functions": ser.enumerated_functions_to_json(found),  # refuses a value past the int-string limit
         "query": {**vars(query), "chi_set": sorted(query.chi_set)},
     }
-    return ser.dumps(payload)
+    return ser.iterdumps(payload)  # one entry's document and text at a time
 
 
 def _cmd_bounds(args) -> str:
@@ -324,8 +323,10 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     a non-canonical rational or integer flag among them. An error is one
     JSON object ``{"error": {"code", "message", "context"}}`` on ``stderr``;
     argparse writes usage and errors to ``stderr``, ``--help`` to ``stdout``. A failed run writes
-    nothing to ``stdout`` or ``--out``. Equal inputs give byte-identical
-    output: usage and help wrap at 78 columns whatever the terminal.
+    nothing to ``stdout`` or ``--out``: JSON ``enumerate`` writes its document
+    as it renders it, one entry at a time, and refuses before the first byte
+    (an ``OSError`` while writing may leave part of a document). Equal inputs
+    give byte-identical output: usage and help wrap at 78 columns whatever the terminal.
     """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
@@ -337,10 +338,13 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        text = args.handler(args)
-        if args.out is not None:  # written only once the handler has returned
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+        pieces = args.handler(args)  # the document's text, or an iterator of its pieces
+        pieces = iter((pieces,) if isinstance(pieces, str) else pieces)
+        first = next(pieces)  # every refusal comes by here, so --out is opened only after it
+        output = contextlib.nullcontext(stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+        with output as handle:
+            handle.write(first)
+            handle.writelines(pieces)
     except OSError as exc:
         error = 1, "io_error", str(exc), {}
     except ValueError as exc:
@@ -355,8 +359,6 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     except FolcanError as exc:
         error = 1 if isinstance(exc, DocumentError) else 2, exc.code, str(exc), exc.context
     else:
-        if args.out is None:
-            stdout.write(text)
         return 0
     status, code, message, context = error
     stderr.write(_error_payload(code, message, context))

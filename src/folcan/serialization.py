@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from types import GeneratorType
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from .baskets import (
     Basket,
@@ -41,39 +42,70 @@ def dumps(payload: Any) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte, so equal payloads give equal text.
 
     A ``Fraction`` is written as its canonical string, a :class:`Basket` or
-    :class:`LocalProfile` as its document. A non-string key, a float or any
-    other value JSON cannot hold raises :class:`TypeError`. One pass over
-    the payload; each basket's or profile's text is made once per indent.
+    :class:`LocalProfile` as its document. A non-string key, a float, a
+    generator (:func:`iterdumps` writes one) or any other value JSON cannot
+    hold raises :class:`TypeError`. One pass over the payload; each basket's
+    or profile's text is made once per indent.
     """
     return _write(payload, _document)
 
 
+def iterdumps(payload: Any) -> Iterator[str]:
+    """The text of :func:`dumps` in pieces, made as they are read; a generator in the payload is written as a list.
+
+    The rest of the payload is written before the first piece comes out, so
+    its errors come before any text. Then each item of the generator is read
+    and written as one piece, so only one item's document and text are held
+    at a time; the baskets' texts are shared by all items, as in dumps.
+    """
+    chunks: list = []
+    _emit(payload, _document, chunks.append)
+    start = 0
+    for at, chunk in enumerate(chunks):
+        if type(chunk) is not str:  # a generator's items, one piece each
+            yield "".join(chunks[start:at])
+            yield from chunk
+            start = at + 1
+    yield "".join(chunks[start:])
+
+
 def _write(payload: Any, default: Callable[[Any], Any]) -> str:
-    # dumps with json's ``default`` for a value that is no dict, list, tuple, str,
-    # int, bool, Fraction or None; the memo keeps each object beside its text, so no id is reused
-    memo: dict[tuple[int, str], tuple[Any, str]] = {}
-
-    def render(value, pad: str) -> str:
-        key = (id(value), pad)
-        if key not in memo:
-            parts: list[str] = []
-            _append(parts, "", default(value), pad, render)
-            memo[key] = (value, "".join(parts))
-        return memo[key][1]
-
+    # dumps with json's ``default`` for a value that is no dict, list, tuple, str, int, bool, Fraction or None
     chunks: list[str] = []
-    _append(chunks, "", payload, "\n", render)
-    chunks.append("\n")
+    _emit(payload, default, chunks.append)
     return "".join(chunks)
 
 
-def _append(chunks: list, head: str, value, pad: str, render) -> None:
+def _emit(payload: Any, default: Callable[[Any], Any], write: Callable[[str], Any]) -> None:
+    # the document of payload through write
+    _append(write, "", payload, "\n", _Texts(default).render)
+    write("\n")
+
+
+class _Texts:
+    # the texts of the values written through default, each made once per indent; the memo keeps
+    # each object beside its text, so no id is reused. No reference cycle holds the memo, so it
+    # goes with the document's last piece, not at the next garbage collection
+    def __init__(self, default: Callable[[Any], Any]):
+        self.default = default
+        self.memo: dict[tuple[int, str], tuple[Any, str]] = {}
+
+    def render(self, value, pad: str) -> str:
+        key = (id(value), pad)
+        if key not in self.memo:
+            parts: list[str] = []
+            _append(parts.append, "", self.default(value), pad, self.render)
+            self.memo[key] = (value, "".join(parts))
+        return self.memo[key][1]
+
+
+def _append(write, head: str, value, pad: str, render) -> None:
     # head and then value; pad is the newline and indent of value's line
     if isinstance(value, str):
-        chunks.append(head + _quote(value))
+        write(head + _quote(value))
     elif isinstance(value, dict):
         if not value:
-            chunks.append(head + "{}")
+            write(head + "{}")
             return
         inner = pad + "  "
         head += "{" + inner
@@ -82,31 +114,46 @@ def _append(chunks: list, head: str, value, pad: str, render) -> None:
             head += _quote(key) + ": "
             # str members skip the call; with _ratio_text, enum_ladder 84.6-87.7 -> 88.8-91.7 ops/s
             if type(item) is str:
-                chunks.append(head + _quote(item))
+                write(head + _quote(item))
             else:
-                _append(chunks, head, item, inner, render)
+                _append(write, head, item, inner, render)
             head = "," + inner
-        chunks.append(pad + "}")
+        write(pad + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
-            chunks.append(head + "[]")
+            write(head + "[]")
             return
         inner = pad + "  "
         head += "[" + inner
         for item in value:
-            _append(chunks, head, item, inner, render)
+            _append(write, head, item, inner, render)
             head = "," + inner
-        chunks.append(pad + "]")
+        write(pad + "]")
     elif value is None:
-        chunks.append(head + "null")
+        write(head + "null")
     elif isinstance(value, bool):
-        chunks.append(head + ("true" if value else "false"))
+        write(head + ("true" if value else "false"))
     elif isinstance(value, int):
-        chunks.append(head + int.__repr__(value))
+        write(head + int.__repr__(value))
     elif isinstance(value, Fraction):
-        chunks.append(f'{head}"{format_rational(value)}"')
+        write(f'{head}"{format_rational(value)}"')
+    elif isinstance(value, GeneratorType):  # written in its place when iterdumps reads it
+        write(_items(value, head, pad, render))
     else:
-        chunks.append(head + render(value, pad))
+        write(head + render(value, pad))
+
+
+def _items(items: Iterator, head: str, pad: str, render) -> Iterator[str]:
+    # a generator written as a list: one text per item, the first with head and the
+    # opening bracket, then the closing bracket (head and "[]" if there is no item)
+    inner = pad + "  "
+    lead = first = head + "[" + inner
+    for item in items:
+        parts: list[str] = []
+        _append(parts.append, lead, item, inner, render)
+        yield "".join(parts)
+        lead = "," + inner
+    yield head + "[]" if lead is first else pad + "]"
 
 
 def rational_to_json(value) -> str:
@@ -319,6 +366,19 @@ def hilbert_function_from_json(data) -> HilbertFunction:
     )
 
 
+def _form_document(h: HilbertFunction, memo: dict) -> tuple:
+    # what an entry's document shares with its stored form's entries at every chi, made
+    # once into memo: the function's document, the keys "0".."2L", P(m) - chi for those m
+    # as ints (None if one is not an integer), and their least and largest
+    key = h._form_key()
+    if key not in memo:
+        end = 2 * value_window(h)
+        values = h._chi_free_values(end)
+        extent = None if values is None else (min(values), max(values))
+        memo[key] = hilbert_function_to_json(h), list(map(str, range(end + 1))), values, extent
+    return memo[key]
+
+
 def enumerated_function_to_json(entry: EnumeratedFunction, memo: Optional[dict] = None) -> dict:
     """The entry's function, its witnesses and its values P(0..2L), L = :func:`value_window`.
 
@@ -327,12 +387,7 @@ def enumerated_function_to_json(entry: EnumeratedFunction, memo: Optional[dict] 
     lets the entries of one stored function at several chi share their texts.
     """
     h = entry.function
-    key = h._form_key()
-    memo = {} if memo is None else memo
-    if key not in memo:
-        end = 2 * value_window(h)
-        memo[key] = hilbert_function_to_json(h), list(map(str, range(end + 1))), h._chi_free_values(end)
-    function, keys, values = memo[key]
+    function, keys, values, _ = _form_document(h, {} if memo is None else memo)
     chi = h.chi
     texts = h.value_texts(len(keys) - 1) if values is None else map(str, map(chi.__add__, values))
     return {
@@ -340,3 +395,24 @@ def enumerated_function_to_json(entry: EnumeratedFunction, memo: Optional[dict] 
         "witnesses": entry.witnesses,
         "values": dict(zip(keys, texts)),
     }
+
+
+def enumerated_functions_to_json(found: Sequence[EnumeratedFunction]) -> Iterator[dict]:
+    """A generator of each entry's :func:`enumerated_function_to_json`, made as it is read, with one memo for all.
+
+    Every value the entries list is checked at the call, before any entry is
+    made: one with more digits than the int-string limit
+    (``sys.get_int_max_str_digits()``) raises the :class:`ValueError` that
+    ``str`` raises, so a document written as it is read fails before its first byte.
+    """
+    memo: dict = {}
+    largest = 0
+    for entry in found:
+        h = entry.function
+        _, keys, _, extent = _form_document(h, memo)
+        if extent is None:  # values that are not all integers: their texts are made here once more
+            h.value_texts(len(keys) - 1)
+        else:
+            largest = max(largest, abs(h.chi + extent[0]), abs(h.chi + extent[1]))
+    str(largest)  # raises exactly when largest >= 10 ** limit, for a limit that is on
+    return (enumerated_function_to_json(entry, memo) for entry in found)

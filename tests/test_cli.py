@@ -744,3 +744,141 @@ def test_enumerate_cap_zero_returns_at_once():
             status, out, err = invoke(prefix + argv)
         assert status == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class Recorder(io.StringIO):
+    """A stdout that keeps every write, an empty one included."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+@needs_int_limit
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_enumerate_values_past_the_int_string_limit_are_refused(to_file, tmp_path):
+    # k1 = 2 * 10^(L - 1) has L digits, so it parses, and P(4) = 8 k1 has L + 1;
+    # the document is written as it is made, so the refusal must come before its first byte
+    target = tmp_path / "functions.json"
+    flags = ["--out", str(target)] if to_file else []
+    tail = ["--k2", "0", "--s", "1", "--chi", "0", "--cap", "0"]
+    out, err = Recorder(), io.StringIO()
+    status = run(flags + ["enumerate", "--k1", "2" + "0" * (INT_LIMIT - 1)] + tail, out, err)
+    assert (status, out.writes) == (2, [])
+    error = json.loads(err.getvalue())["error"]
+    assert error["code"] == "invalid_input" and error["context"] == {"limit": INT_LIMIT}
+    assert not target.exists()
+    # one digit less, the largest value, P(4) = 16 * 10^(L - 2), has exactly L digits and is written
+    status, out, err = invoke(flags + ["enumerate", "--k1", "2" + "0" * (INT_LIMIT - 2)] + tail)
+    assert (status, err) == (0, "")
+    values = json.loads(target.read_text() if to_file else out)["functions"][0]["values"]
+    assert max(len(text) for text in values.values()) == len(values["4"]) == INT_LIMIT
+
+
+@pytest.mark.parametrize("case", ["chi-limit", "basket-limit", "period-limit", "out-directory", "out-nul-byte"])
+def test_failed_enumerate_runs_write_nothing_to_stdout(case, tmp_path):
+    small = ["enumerate", "--k1", "1", "--k2", "0", "--s", "2", "--chi", "0,1", "--cap", "2"]
+    argv, status, code = {
+        "chi-limit": (small[:-4] + ["--chi", ",".join(map(str, range(101))), "--cap", "2"], 2, "invalid_input"),
+        "basket-limit": (["enumerate", "--k1", "1", "--k2", "0", "--s", "60", "--chi", "0", "--cap", "9",
+                          "--max-cusps", "2"], 2, "invalid_input"),
+        "period-limit": (["enumerate", "--k1", "1", "--k2", "0", "--s", "100001", "--chi", "0", "--cap", "1"],
+                         2, "invalid_input"),
+        "out-directory": (["--out", str(tmp_path)] + small, 1, "io_error"),
+        "out-nul-byte": (["--out", str(tmp_path / "a\0b")] + small, 1, "io_error"),
+    }[case]
+    out, err = Recorder(), io.StringIO()
+    assert run(argv, out, err) == status
+    assert out.writes == []
+    assert json.loads(err.getvalue())["error"]["code"] == code
+    assert os.listdir(tmp_path) == []
+
+
+
+def test_out_is_opened_at_the_first_piece(tmp_path, monkeypatch):
+    # run reads the first piece of a handler's document before it opens --out, so a
+    # refusal raised while that piece is made leaves no file and nothing on stdout
+    from folcan.errors import InvalidInput
+
+    def refused(payload):
+        raise InvalidInput("refused while the first piece is made")
+        yield
+
+    monkeypatch.setattr(folcan.serialization, "iterdumps", refused)
+    target = tmp_path / "functions.json"
+    argv = ["--out", str(target), "enumerate", "--k1", "1", "--k2", "0", "--s", "2", "--chi", "0", "--cap", "2"]
+    out, err = Recorder(), io.StringIO()
+    assert run(argv, out, err) == 2
+    assert out.writes == [] and not target.exists()
+    assert json.loads(err.getvalue())["error"]["code"] == "invalid_input"
+
+def test_streamed_enumerate_documents_equal_dumps_of_the_whole_payload(tmp_path):
+    # the document is written one entry at a time; its bytes are those of
+    # serialization.dumps over the whole payload, on stdout and in --out alike
+    from fractions import Fraction
+    import random
+
+    from folcan.bounds import EnumerationQuery, enumerate_hilbert
+    from folcan.serialization import dumps, enumerated_function_to_json
+
+    rng = random.Random(35)
+    queries = [(1, 0, 2, 0, [0], 0), (1, 0, 2, 2, [1], 1), (1, 1, 6, 3, [-1, 0, 4], 2)]  # none, one chi, several
+    queries += [(rng.randint(1, 3), rng.randint(-3, 3), rng.choice((1, 2, 3, 4, 6, 12)), rng.randint(0, 3),
+                 rng.sample(range(-2, 5), rng.randint(1, 3)), rng.randint(0, 2)) for _ in range(6)]
+    counts = []
+    for k1, k2, s, cap, chis, cusps in queries:
+        query = EnumerationQuery(k1=Fraction(k1), k2=Fraction(k2), s=s, chi_set=chis, basket_cap=cap, max_cusps=cusps)
+        found = enumerate_hilbert(query)
+        memo: dict = {}
+        payload = {
+            "count": len(found),
+            "functions": [enumerated_function_to_json(entry, memo) for entry in found],
+            "query": {**vars(query), "chi_set": sorted(chis)},
+        }
+        expected = dumps(payload)
+        argv = ["enumerate", "--k1", str(k1), f"--k2={k2}", "--s", str(s), f"--chi={','.join(map(str, chis))}",
+                "--cap", str(cap), "--max-cusps", str(cusps)]
+        out, err = Recorder(), io.StringIO()
+        assert run(argv, out, err) == 0 and err.getvalue() == ""
+        assert out.getvalue() == expected
+        # one write per entry, plus the head, the closing bracket and the tail
+        assert len(out.writes) == len(found) + 3
+        target = tmp_path / "functions.json"
+        assert invoke(["--out", str(target)] + argv) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == expected
+        counts.append(len(found))
+    assert counts[0] == 0 and counts[1] > 0 and len(set(counts)) > 3
+
+
+def test_the_largest_chi_query_streams_in_bounded_memory():
+    # the 100-chi query prints 13.0 MB of JSON; written as it is made it peaked at
+    # 19.9 MB of RSS in a child writing to os.devnull (2-core VM, CPython 3.11), and
+    # at 83.4 MB when the whole document was built before its first byte. The
+    # child's own peak is read, since an in-process StringIO would hold all the
+    # text: on Linux its VmHWM, because ru_maxrss keeps the peak of the process
+    # it was started from (43 MB read from under pytest), elsewhere ru_maxrss
+    pytest.importorskip("resource")
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
+    chis = ",".join(map(str, range(folcan.bounds.MAX_CHI)))
+    code = (
+        "import os, resource, sys\n"
+        "from folcan.cli import run\n"
+        "argv = ['enumerate', '--k1', '1', '--k2', '0', '--s', '12', '--cap', '6', '--max-cusps', '2', '--chi', sys.argv[1]]\n"
+        "with open(os.devnull, 'w') as sink:\n"
+        "    status = run(argv, sink, sys.stderr)\n"
+        "try:\n"
+        "    with open('/proc/self/status') as lines:\n"
+        "        peak = next(int(line.split()[1]) for line in lines if line.startswith('VmHWM:'))\n"
+        "except OSError:\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // (1024 if sys.platform == 'darwin' else 1)\n"
+        "print(status, peak)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, chis], env=env, capture_output=True, text=True, timeout=120)
+    assert done.stderr == ""
+    status, peak_kib = map(int, done.stdout.split())
+    assert status == 0
+    assert peak_kib < 40 * 1024, f"peak RSS {peak_kib / 1024:.1f} MB"

@@ -402,3 +402,64 @@ def test_enumerated_documents_are_rendered_once_per_form():
         assert document == enumerated_function_to_json(entry)
         assert document["function"]["period"] == h.period and len(document["values"]) == 2 * value_window(h) + 1
     assert len(shared) == 2
+
+
+def test_iterdumps_writes_a_generator_as_a_list_one_item_at_a_time(monkeypatch):
+    # the pieces join to dumps of the payload with the generator as a list; the
+    # rest of the payload comes first, each item is read only when its piece is,
+    # and a basket's text is made once per indent for all the items, as in dumps
+    import folcan.serialization as ser
+
+    shared = Basket.of(terminal_cyclic(3), cusp())
+    read = []
+
+    def items(n):
+        for i in range(n):
+            read.append(i)
+            yield {"i": i, "value": F(i, 3), "witnesses": (shared,)}
+
+    made = []
+    monkeypatch.setattr(ser, "_document", lambda value: made.append(value) or basket_to_json(value))
+    for n in (0, 1, 4):
+        listed = [{"i": i, "value": F(i, 3), "witnesses": (shared,)} for i in range(n)]
+        for lazy, whole in (
+            ({"a": shared, "items": items(n), "z": [1, None]}, {"a": shared, "items": listed, "z": [1, None]}),
+            (items(n), listed),
+            ([items(n), {"deeper": items(n)}], [listed, {"deeper": listed}]),
+        ):
+            read.clear()
+            made.clear()
+            pieces = ser.iterdumps(lazy)
+            head = next(pieces)
+            assert read == []
+            rest = []
+            for piece in pieces:
+                rest.append(piece)
+                assert len(read) <= len(rest)  # an item is read when its piece is made
+            renders = made.count(shared)
+            made.clear()
+            assert head + "".join(rest) == dumps(whole) == json.dumps(
+                json.loads(dumps(whole)), indent=2, sort_keys=True) + "\n"
+            assert renders == made.count(shared) // 2 <= 2  # once per indent, as in dumps
+    with pytest.raises(TypeError):
+        dumps({"items": items(2)})
+
+
+def test_documents_leave_no_cyclic_garbage():
+    # the texts of baskets and profiles are kept for one document and go with it: nothing the
+    # serializer makes is held in a reference cycle, whose memory would wait for a collection
+    import gc
+
+    import folcan.serialization as ser
+
+    shared = Basket.of(terminal_cyclic(3), dihedral_half(), cusp())
+    payload = {"baskets": [shared, shared, Basket.of(cusp())], "profile": terminal_cyclic(5), "q": F(1, 3)}
+    gc.collect()
+    gc.disable()
+    try:
+        text = dumps(payload)
+        pieces = list(ser.iterdumps({**payload, "baskets": (basket for basket in payload["baskets"])}))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert "".join(pieces) == text
