@@ -163,33 +163,70 @@ class SymmetricPairing:
         With N the int rows (A times :attr:`_scale`) and Q the product of the
         shears in order, Q^T N Q = U^T diag(1 / (p_{t-1} p_t)) U, where U has
         one row per pivot t: the minor p_t at column ``order[t]`` and
-        ``rows[t]`` elsewhere. A form whose leading minors are all nonzero
-        (every definite one) is factored in order over its upper triangle:
-        each row holds its columns from the diagonal on, read from the int
-        rows, so each Schur-complement entry is computed once, about half the
-        entry updates of a full pass on a dense form. On a vanishing leading
-        minor the form is factored again from the start by the general
-        elimination (:meth:`_eliminate`). Either way O(n) on a tridiagonal
-        form such as a (-2)-chain and O(n^3) int operations dense.
+        ``rows[t]`` elsewhere. One elimination serves every form: each
+        pending entry is kept once, in the row of its lower position, read
+        from the int rows, so each Schur-complement entry is computed once.
+        The pivot is the first pending row with a nonzero diagonal, else a
+        shear makes one; the pending rows left all zero are the zero block. A
+        form whose leading minors are all nonzero (every definite one) is so
+        factored in order over its upper triangle. Each row update is one
+        pass over the row and the pivot row, with exact divisions and zeros
+        dropped: O(n) on a tridiagonal form such as a (-2)-chain and O(n^3)
+        int operations dense.
         """
         numerators = self._numerators
         n = len(numerators)
         # row i from its diagonal on, zeros left out
         rows = [dict(compress(enumerate(row[i:], i), row[i:])) for i, row in enumerate(numerators)]
         seen = [0] * n  # the number of pivots each row has been brought past
-        minors = [1]
-        for t, pivot in enumerate(rows):
-            q, s = minors[t], seen[t]
+        minors, order, pivots, shears = [1], [], [], []
+        pending = list(range(n))
+        for t in range(n):
+            q = minors[t]
+            # the pivot: the first pending row with a nonzero diagonal
+            k = pending[0]
+            at = 0 if k in rows[k] else next((at for at, i in enumerate(pending) if i in rows[i]), None)
+            if at is None:
+                at = next((at for at, i in enumerate(pending) if rows[i]), None)
+                if at is None:
+                    break
+                # e_k -> e_k + e_j on the first nonzero pending row k: the pending rows before
+                # it are zero, so j > k and column k's pending entries all lie in row k. Row k
+                # gains row j, whose columns below j lie in the pending rows from k on; the
+                # pivot rows' column k gains their column j
+                k = pending[at]
+                j = min(rows[k])
+                shears.append((k, j))
+                row_j = {i: rows[i][j] * q // minors[seen[i]] for i in pending[at:] if i < j and j in rows[i]}
+                r = minors[seen[j]]
+                row_j.update((m, a * q // r) for m, a in rows[j].items())
+                r = minors[seen[k]]
+                new = {m: a * q // r for m, a in rows[k].items()}
+                for m, a in row_j.items():
+                    new[m] = new.get(m, 0) + a
+                new[k] += new[j]
+                rows[k] = {m: a for m, a in new.items() if a}
+                seen[k] = t
+                for row in pivots:
+                    row[k] = row.get(k, 0) + row.get(j, 0)
+                    if not row[k]:
+                        del row[k]
+            k = pending.pop(at)
+            pivot, s = rows[k], seen[k]
             if s != t:
                 r = minors[s]
-                pivot = rows[t] = {m: a * q // r for m, a in pivot.items()}
-            p = pivot.pop(t, 0)
-            if not p:
-                return self._eliminate()
+                pivot = {m: a * q // r for m, a in pivot.items()}
+            p = pivot.pop(k)
+            # an out-of-order pivot's columns below k lie in the pending rows before it
+            if at:
+                for i in pending[:at]:
+                    a = rows[i].pop(k, 0)
+                    if a:
+                        pivot[i] = a * q // minors[seen[i]]
             get = pivot.get
             for l, b in pivot.items():
-                # row l, brought past s = seen[l] pivots, becomes (p_{t+1} row_l - c row_t) / p_s
-                # over its columns m >= l; c, its entry at column t, is pivot[l] brought back to stage s
+                # row l, brought past s = seen[l] pivots, becomes (p_{t+1} row_l - c row_k) / p_s
+                # over its columns m >= l; c, its entry at column k, is pivot[l] brought back to stage s
                 row = rows[l]
                 d = minors[seen[l]]
                 c = b * d // q
@@ -203,70 +240,6 @@ class SymmetricPairing:
                 rows[l] = new
                 seen[l] = t + 1
             minors.append(p)
-        return Factor(tuple(range(n)), tuple(tuple(row.items()) for row in rows), tuple(minors), (), ())
-
-    def _eliminate(self) -> Factor:
-        """:attr:`congruence` by the general elimination: any pending pivot, shears, a zero block.
-
-        The pivot is the first pending row with a nonzero diagonal, else a
-        shear makes one; each row holds all its pending columns. Each row
-        update is one pass over the row and the pivot row, with exact
-        divisions and zeros dropped. After the O(n^2) :attr:`nonzeros`, O(n)
-        on a tridiagonal form and O(n^3) int operations dense.
-        """
-        rows = list(map(dict, self.nonzeros))
-        seen = [0] * len(rows)  # the number of pivots each row has been brought past
-        minors, order, pivots, shears = [1], [], [], []
-
-        def at(i: int, t: int) -> dict:
-            # row i brought past t pivots: times p_t / p_s, an exact division
-            s = seen[i]
-            if s != t:
-                p, q = minors[t], minors[s]
-                rows[i] = {m: a * p // q for m, a in rows[i].items()}
-                seen[i] = t
-            return rows[i]
-
-        # pivot: the first pending nonzero diagonal, else a shear on the first
-        # pending nonzero row; the pending rows left all zero are the zero block
-        pending = list(range(len(rows)))
-        while pending:
-            t = len(order)
-            k = next((i for i in pending if i in rows[i]), None)
-            if k is None:
-                k = next((i for i in pending if rows[i]), None)
-                if k is None:
-                    break
-                # e_k -> e_k + e_j: row k becomes row k + row j, and column k
-                # becomes column k + column j in every other row, pivot rows too
-                j = min(rows[k])
-                shears.append((k, j))
-                rk, rj = at(k, t), at(j, t)
-                keys = rk.keys() | rj.keys()
-                new = {m: rk.get(m, 0) + rj.get(m, 0) for m in keys}
-                new[k] += new[j]
-                for row in chain(pivots, map(rows.__getitem__, keys - {k})):
-                    row[k] = row.get(k, 0) + row.get(j, 0)
-                    if not row[k]:
-                        del row[k]
-                rows[k] = {m: a for m, a in new.items() if a}
-            pending.remove(k)
-            pivot = at(k, t)
-            p = pivot.pop(k)
-            get = pivot.get
-            for l in pivot:
-                # row l, last brought past s pivots, becomes (p_{t+1} row_l - c row_k) / p_s:
-                # its own columns in one pass, zeros dropped, then the pivot's others; vs
-                # scale, subtract, divide: chain_intersect pass, dense factors 7.3 -> 6.0 ms
-                row = rows[l]
-                c, d = row.pop(k), minors[seen[l]]
-                new = {m: x for m, a in row.items() if (x := (p * a - c * get(m, 0)) // d)}
-                for m, a in pivot.items():
-                    if m not in row:
-                        new[m] = -c * a // d
-                rows[l] = new
-                seen[l] = t + 1
-            minors.append(p)
             order.append(k)
             pivots.append(pivot)
         return Factor(tuple(order), tuple(tuple(row.items()) for row in pivots), tuple(minors), tuple(shears), tuple(pending))
@@ -276,7 +249,8 @@ class Factor(NamedTuple):
     """:attr:`SymmetricPairing.congruence`: a fraction-free symmetric factor of a pairing's integer form.
 
     ``order``: the pivots in elimination order; ``rows[t]``: pivot t's
-    ``(column, int)`` pairs over the columns then pending, diagonal left out;
+    ``(column, int)`` pairs over the columns then pending, diagonal left out,
+    in no fixed order;
     ``minors``: p_0 = 1, then the t-th leading minor in pivot order;
     ``shears``: the steps e_k -> e_k + e_j as ``(k, j)``; ``zeros``: the zero block, ascending.
     """

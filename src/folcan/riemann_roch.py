@@ -94,9 +94,9 @@ class ModelNumerics:
     @functools.cached_property
     def _verdict(self) -> Optional[int]:
         # the first m in [1, L) whose P(m) is not an integer, None if there is
-        # none; L is the window of the table's own period
+        # none; L is the integrality window of the table's own period
         table = self._table
-        den, window = table._integer_form[0], window_length(table.period, self.k1, self.k2)
+        den, window = table._integer_form[0], integrality_window(self)
         for m, total in enumerate(table._numerators(range(1, window)), 1):
             if total % den:
                 return m
@@ -323,9 +323,9 @@ def to_hilbert_function(num: ModelNumerics) -> HilbertFunction:
     integer) and that value's text.
     """
     if not integrality_check(num):
-        m, table = num._verdict, num._table
-        text = format_rational(table.value(m))
-        window = window_length(table.period, num.k1, num.k2)
+        m = num._verdict
+        text = format_rational(num._table.value(m))
+        window = integrality_window(num)
         raise NotIntegral(f"table has non-integer values, first P({m}) = {text}", window=window, m=m, value=text)
     return hilbert_table(num)
 

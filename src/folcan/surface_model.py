@@ -85,8 +85,8 @@ class SurfaceModel:
 
 
 # the most exceptional curves one resolution may have: a dense Gram's factor is
-# O(n^3) big-int operations (intersect on a dense rank-160 Gram: 1.2-1.4 s on a
-# 2-core VM; 3.1-3.7 s when only its last leading minor vanishes, factored twice)
+# O(n^3) big-int operations (intersect on a dense rank-160 Gram: 1.2-1.6 s on a
+# 2-core VM; 1.1-1.4 s when only its last leading minor vanishes, one pass either way)
 MAX_EXCEPTIONAL_RANK = 160
 
 
@@ -100,7 +100,7 @@ class ResolutionData:
     the factor), and their Gram negative definite (else :class:`NotNegativeDefinite`).
     ``strict_transforms`` names downstairs divisors by their strict
     transforms. Construction is O(n^2) to read the Gram plus its factor,
-    one pass over the Gram's upper triangle when it is definite: O(n) on a
+    one pass over the Gram's upper triangle, definite or not: O(n) on a
     (-2)-chain, O(n^3) dense; every pullback reuses the factor.
     """
 

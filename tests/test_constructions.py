@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,9 @@ from folcan.constructions import (
     to_model_numerics,
 )
 from folcan.baskets import terminal_cyclic
+from folcan.bounds import kx2_bounds
 from folcan.errors import InvalidInput, NegativeGenus, NonIntegralGenus
+from folcan.lattice import SymmetricPairing
 from folcan.riemann_roch import hilbert_value, integrality_check
 
 
@@ -169,3 +172,21 @@ def test_to_model_numerics():
     assert abelian.k1 == 36
     assert abelian.kx2 == 1
     assert integrality_check(abelian)
+
+
+def test_the_paper_examples_lie_in_the_bounds_window():
+    # each example's K_X^2 against kx2_bounds(K_F^2, K_F.K_X, s = 1): a ruled cover's is
+    # twice the square of K_surface_rep on the base, an abelian cover's is K_F^2, the upper bound
+    examples = []
+    for k, g, q in itertools.product((2, 4, 6), (2, 3, 4), range(4)):
+        report = ruled_double_cover(RuledCoverInput(k=k, g=g, q=q))
+        k_surface = report.auxiliary["K_surface_rep"]
+        examples.append((report, 2 * SymmetricPairing.from_rows([[-k, 1], [1, 0]]).pair(k_surface, k_surface)))
+    for d, n in itertools.product(range(2, 7), (0, 1)):
+        report = abelian_double_cover(AbelianCoverInput(d=d, n=n))
+        examples.append((report, report.kf2))
+        assert kx2_bounds(report.kf2, report.kf_dot_kx, 1).kx2_upper == report.kf2
+    assert len(examples) == 46
+    for report, kx2 in examples:
+        window = kx2_bounds(report.kf2, report.kf_dot_kx, 1)
+        assert window.kx2_lower_exclusive < kx2 <= window.kx2_upper, report

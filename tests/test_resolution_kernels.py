@@ -5,11 +5,15 @@ and Fractions without coercing them, ``solve_linear`` builds its Fractions
 in one map, and the factor updates each row in one pass. Each is checked
 here against the slow form it replaces: the refusals of the coercing path,
 :func:`vector`'s definition, the type of every solved entry, and a
-three-pass reference of the row update kept below. A form whose leading
-minors are all nonzero is factored over its upper triangle, and any other
-by the general elimination; both give the reference's factor.
+three-pass reference of the row update kept below. The factor is one
+elimination over each entry's row of lower position: a form whose leading
+minors are all nonzero is factored in order over its upper triangle,
+exactly as the reference, and any other takes out-of-order pivots, shears
+or a zero block within the same pass, giving the reference's factor up to
+the order of each pivot row's pairs.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -166,6 +170,13 @@ def sparse(rng, n, density, zero_diagonal=False):
     return rows
 
 
+def assert_same_factor(factor, reference, kind=None):
+    """Order, minors, shears and zeros equal; each pivot row equal as a dict, since an out-of-order pivot's pairs come in no fixed order."""
+    for name in ("order", "minors", "shears", "zeros"):
+        assert getattr(factor, name) == getattr(reference, name), (kind, name)
+    assert list(map(dict, factor.rows)) == list(map(dict, reference.rows)), kind
+
+
 def test_the_one_pass_update_equals_the_three_pass_reference():
     rng = random.Random(3204)
     forms = {
@@ -176,15 +187,16 @@ def test_the_one_pass_update_equals_the_three_pass_reference():
         "small": random_forms(),
     }
     forms["chain"] = [chain(n) for n in (1, 3, 64)]
-    sheared = singular = 0
+    out_of_order = sheared = singular = 0
     for kind, group in forms.items():
         for rows in group:
             pairing = SymmetricPairing.from_rows(rows)
             factor = pairing.congruence
-            assert factor == three_pass_factor(pairing), kind
+            assert_same_factor(factor, three_pass_factor(pairing), kind)
+            out_of_order += factor.order != tuple(sorted(factor.order))
             sheared += bool(factor.shears)
             singular += bool(factor.zeros)
-    assert sheared > 10 and singular > 10
+    assert out_of_order > 10 and sheared > 10 and singular > 10
 
 
 def strongly_regular(rng, n):
@@ -202,11 +214,7 @@ def permuted(rng, rows):
     return [[rows[i][j] for j in order] for i in order]
 
 
-def test_forms_with_nonzero_leading_minors_take_the_upper_pass(monkeypatch):
-    def general(self):
-        raise AssertionError("the general elimination was taken")
-
-    monkeypatch.setattr(SymmetricPairing, "_eliminate", general)
+def test_forms_with_nonzero_leading_minors_take_the_upper_pass():
     rng = random.Random(3301)
     forms = {
         "chain": [chain(rng.randint(1, 130)) for _ in range(6)] + [permuted(rng, chain(rng.randint(2, 40))) for _ in range(4)],
@@ -215,7 +223,7 @@ def test_forms_with_nonzero_leading_minors_take_the_upper_pass(monkeypatch):
         # a zero on the diagonal that its Schur complement fills: minors -2, -1, 4
         "zero diagonal": [[[-2, 1, 0], [1, 0, 1], [0, 1, -2]]],
     }
-    # each resolution factors its Gram when it is built, here with the general elimination refused
+    # each resolution factors its Gram when it is built
     grams = [basket_case(rng, hub_first=draw % 2 == 0).res.exceptional_gram for draw in range(6)]
     forms["basket"] = [gram.entries for gram in grams]
     indefinite = 0
@@ -244,13 +252,15 @@ def copy_of_the_first_last(rows):
 
 def test_a_vanishing_leading_minor_hands_over_to_the_general_elimination(monkeypatch):
     calls = []
-    general = SymmetricPairing._eliminate
+    scan = SymmetricPairing.nonzeros.func
 
     def counting(self):
         calls.append(self)
-        return general(self)
+        return scan(self)
 
-    monkeypatch.setattr(SymmetricPairing, "_eliminate", counting)
+    counted = functools.cached_property(counting)
+    counted.__set_name__(SymmetricPairing, "nonzeros")
+    monkeypatch.setattr(SymmetricPairing, "nonzeros", counted)
     rng = random.Random(3302)
     definite = dense_negative(rng, 12)
     forms = [
@@ -262,10 +272,11 @@ def test_a_vanishing_leading_minor_hands_over_to_the_general_elimination(monkeyp
     for rows in forms:
         pairing = SymmetricPairing.from_rows(rows)
         factor = pairing.congruence
-        assert calls[-1] is pairing
-        assert factor == three_pass_factor(pairing)
-    assert len(calls) == len(forms)
-    # the copy fails only at its last minor, so both passes run in full
-    copied = calls[-1].congruence
+        # the pass goes on from the vanishing minor over the int rows, and scans no row whole
+        assert calls == [] and not pairing._scanned
+        assert_same_factor(factor, three_pass_factor(pairing))
+        calls.clear()
+    # the copy fails only at its last minor: every minor before it is the definite form's
+    copied = pairing.congruence
     assert copied.minors[:12] == SymmetricPairing.from_rows(definite).congruence.minors[:12]
     assert copied.zeros == (11,)

@@ -2,9 +2,8 @@
 
 A pairing scans a row of its integer form for its nonzeros the first time
 the row is read and keeps it (``SymmetricPairing._row``); the full tuple
-``nonzeros`` is built only by the general elimination, which a form with a
-vanishing leading minor takes. A definite Gram is factored over the upper
-part of its int rows and scans no row whole.
+``nonzeros`` is built only when it is read. The factor reads the upper part
+of the int rows, whatever the form, and scans no row whole.
 """
 
 import functools
